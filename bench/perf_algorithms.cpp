@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/metrics.hpp"
+#include "core/path_finder_ref.hpp"
 #include "core/slicing.hpp"
 #include "experiment/figures.hpp"
 #include "sched/list_scheduler.hpp"
@@ -44,6 +45,20 @@ void BM_DistributePure(benchmark::State& state) {
   state.SetComplexityN(n);
 }
 BENCHMARK(BM_DistributePure)->RangeMultiplier(2)->Range(32, 512)->Complexity();
+
+// The retained full-width finder on the same graphs, so the fitted
+// complexities of the reference and the hop-banded DP print side by side.
+void BM_DistributePureRef(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const TaskGraph graph = sized_graph(n, 1);
+  const auto ccne = make_ccne();
+  for (auto _ : state) {
+    auto metric = make_pure();
+    benchmark::DoNotOptimize(distribute_deadlines_ref(graph, *metric, *ccne));
+  }
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_DistributePureRef)->RangeMultiplier(2)->Range(32, 512)->Complexity();
 
 void BM_DistributeAdapt(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -20,7 +20,9 @@
 /// --max-overhead-pct) is only meaningful when the baseline was recorded
 /// on the same machine — cross-machine speedups differ far more than any
 /// instrumentation overhead (docs/OBSERVABILITY.md shows the measured
-/// same-machine comparison).
+/// same-machine comparison).  Every figure is a median over reps that
+/// interleave all four configurations, after one warm-up rep; the JSON
+/// records the host.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -29,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "perf_common.hpp"
 #include "core/comm_estimator.hpp"
 #include "core/metrics.hpp"
 #include "core/slicing.hpp"
@@ -74,27 +77,21 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 /// be optimized away.
 volatile double g_checksum_sink = 0.0;
 
-/// Best-of-\p reps time for one core over the whole batch.
-template <typename ScheduleOne>
-double time_core(int reps, const ScheduleOne& schedule_one) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    g_checksum_sink = schedule_one();
-    best = std::min(best, ms_since(t0));
-  }
-  return best;
+/// Times one batch run.
+template <typename RunBatch>
+double time_once(const RunBatch& run_batch) {
+  const auto t0 = std::chrono::steady_clock::now();
+  g_checksum_sink = run_batch();
+  return ms_since(t0);
 }
 
 struct CoreTimes {
-  double ref_ms = 0.0;        ///< Reference core (uninstrumented).
+  double ref_ms = 0.0;            ///< Reference core (uninstrumented).
   double fast_disabled_ms = 0.0;  ///< Fast core, no sink installed.
   double fast_enabled_ms = 0.0;   ///< Fast core, aggregating sink.
   double fast_capture_ms = 0.0;   ///< Fast core, event-capturing sink.
+  double speedup = 0.0;           ///< Median per-rep ref / fast_disabled.
 
-  double speedup() const {
-    return fast_disabled_ms > 0.0 ? ref_ms / fast_disabled_ms : 0.0;
-  }
   double enabled_overhead_pct() const {
     return fast_disabled_ms > 0.0
                ? (fast_enabled_ms / fast_disabled_ms - 1.0) * 100.0
@@ -107,11 +104,12 @@ struct CoreTimes {
   }
 };
 
+/// Each rep runs all four configurations back to back, so drift in the
+/// host's speed hits every side of a rep alike; one untimed warm-up rep
+/// comes first, and every figure is a median over the reps.
 CoreTimes time_batch(const std::vector<Sample>& batch, const Machine& machine,
                      const SchedulerOptions& options, int reps) {
-  CoreTimes times;
-
-  times.ref_ms = time_core(reps, [&] {
+  const auto run_ref = [&] {
     double checksum = 0.0;
     for (const Sample& sample : batch) {
       checksum +=
@@ -119,11 +117,11 @@ CoreTimes time_batch(const std::vector<Sample>& batch, const Machine& machine,
               .makespan();
     }
     return checksum;
-  });
+  };
 
   // Same entry point perf_scheduler times: the batch scheduler in its
-  // steady state (topologies built and selection caches filled on the
-  // first rep; best-of-reps takes the warm passes).
+  // steady state (topologies built and selection caches filled by the
+  // warm-up rep).
   std::vector<const TaskGraph*> graphs;
   std::vector<const DeadlineAssignment*> assignments;
   for (const Sample& sample : batch) {
@@ -144,18 +142,40 @@ CoreTimes time_batch(const std::vector<Sample>& batch, const Machine& machine,
     std::cerr << "perf_obs: a sink is already installed; timings would lie\n";
     std::exit(1);
   }
-  times.fast_disabled_ms = time_core(reps, run_fast);
+  obs::Sink enabled;
+  obs::Sink capturing(/*capture_events=*/true);
+  std::vector<double> ref_ms;
+  std::vector<double> disabled_ms;
+  std::vector<double> enabled_ms;
+  std::vector<double> capture_ms;
+  std::vector<double> ratios;
+  for (int rep = -1; rep < reps; ++rep) {  // rep -1 is the warm-up
+    const double ref = time_once(run_ref);
+    const double disabled = time_once(run_fast);
+    double with_sink = 0.0;
+    {
+      obs::ScopedSink scoped(enabled);
+      with_sink = time_once(run_fast);
+    }
+    double with_capture = 0.0;
+    {
+      obs::ScopedSink scoped(capturing);
+      with_capture = time_once(run_fast);
+    }
+    if (rep < 0) continue;
+    ref_ms.push_back(ref);
+    disabled_ms.push_back(disabled);
+    enabled_ms.push_back(with_sink);
+    capture_ms.push_back(with_capture);
+    ratios.push_back(disabled > 0.0 ? ref / disabled : 0.0);
+  }
 
-  {
-    obs::Sink sink;
-    obs::ScopedSink scoped(sink);
-    times.fast_enabled_ms = time_core(reps, run_fast);
-  }
-  {
-    obs::Sink sink(/*capture_events=*/true);
-    obs::ScopedSink scoped(sink);
-    times.fast_capture_ms = time_core(reps, run_fast);
-  }
+  CoreTimes times;
+  times.ref_ms = bench::median(ref_ms);
+  times.fast_disabled_ms = bench::median(disabled_ms);
+  times.fast_enabled_ms = bench::median(enabled_ms);
+  times.fast_capture_ms = bench::median(capture_ms);
+  times.speedup = bench::median(ratios);
   return times;
 }
 
@@ -235,7 +255,8 @@ int main(int argc, char** argv) {
   machine.n_procs = procs;
   SchedulerOptions options;  // paper defaults: time-driven, EDF, gap-search
 
-  std::cout << "timing contention-free batch (best of " << reps << ")...\n";
+  std::cout << "timing contention-free batch (median of " << reps
+            << " interleaved reps after one warm-up)...\n";
   const CoreTimes free_t = time_batch(batch, machine, options, reps);
   machine.contention = CommContention::SharedBus;
   std::cout << "timing shared-bus batch...\n";
@@ -243,7 +264,7 @@ int main(int argc, char** argv) {
 
   const auto show = [](const char* label, const CoreTimes& t) {
     std::cout << label << ": ref " << t.ref_ms << " ms, fast "
-              << t.fast_disabled_ms << " ms (speedup " << t.speedup()
+              << t.fast_disabled_ms << " ms (speedup " << t.speedup
               << "x); sink enabled " << t.fast_enabled_ms << " ms (+"
               << t.enabled_overhead_pct() << "%), capturing " << t.fast_capture_ms
               << " ms (+" << t.capture_overhead_pct() << "%)\n";
@@ -261,6 +282,8 @@ int main(int argc, char** argv) {
       << "  \"samples\": " << samples << ",\n"
       << "  \"procs\": " << procs << ",\n"
       << "  \"reps\": " << reps << ",\n"
+      << "  \"statistic\": \"median of interleaved reps after one warm-up\",\n"
+      << "  \"host\": " << bench::host_json() << ",\n"
       << "  \"max_overhead_pct\": " << max_overhead_pct << ",\n"
       << "  \"baseline\": {\"path\": \"" << baseline_path
       << "\", \"found\": " << (have_baseline ? "true" : "false")
@@ -270,13 +293,13 @@ int main(int argc, char** argv) {
       << ", \"fast_disabled_ms\": " << free_t.fast_disabled_ms
       << ", \"fast_enabled_ms\": " << free_t.fast_enabled_ms
       << ", \"fast_capture_ms\": " << free_t.fast_capture_ms
-      << ", \"speedup\": " << free_t.speedup()
+      << ", \"speedup\": " << free_t.speedup
       << ", \"enabled_overhead_pct\": " << free_t.enabled_overhead_pct() << "},\n"
       << "  \"shared_bus\": {\"ref_ms\": " << bus_t.ref_ms
       << ", \"fast_disabled_ms\": " << bus_t.fast_disabled_ms
       << ", \"fast_enabled_ms\": " << bus_t.fast_enabled_ms
       << ", \"fast_capture_ms\": " << bus_t.fast_capture_ms
-      << ", \"speedup\": " << bus_t.speedup()
+      << ", \"speedup\": " << bus_t.speedup
       << ", \"enabled_overhead_pct\": " << bus_t.enabled_overhead_pct() << "}\n"
       << "}\n";
   std::cout << "wrote " << out_path << "\n";
@@ -286,13 +309,13 @@ int main(int argc, char** argv) {
   // Primary gate: the instrumented fast core (sinks disabled) must clear
   // the same absolute machine-normalized speedup floors CI applies to
   // perf_scheduler.  Disabled-sink overhead would push it below them.
-  if (require > 0.0 && bus_t.speedup() < require) {
-    std::cerr << "perf_obs: shared-bus speedup " << bus_t.speedup()
+  if (require > 0.0 && bus_t.speedup < require) {
+    std::cerr << "perf_obs: shared-bus speedup " << bus_t.speedup
               << "x is below the required " << require << "x\n";
     ok = false;
   }
-  if (require_cf > 0.0 && free_t.speedup() < require_cf) {
-    std::cerr << "perf_obs: contention-free speedup " << free_t.speedup()
+  if (require_cf > 0.0 && free_t.speedup < require_cf) {
+    std::cerr << "perf_obs: contention-free speedup " << free_t.speedup
               << "x is below the required " << require_cf << "x\n";
     ok = false;
   }
@@ -326,8 +349,8 @@ int main(int argc, char** argv) {
         ok = false;
       }
     };
-    compare("contention-free", free_t.speedup(), baseline_cf);
-    compare("shared-bus", bus_t.speedup(), baseline_bus);
+    compare("contention-free", free_t.speedup, baseline_cf);
+    compare("shared-bus", bus_t.speedup, baseline_bus);
   } else {
     std::cout << "perf_obs: no baseline at " << baseline_path
               << "; ratio report skipped\n";

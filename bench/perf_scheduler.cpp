@@ -15,8 +15,9 @@
 /// The optimized side runs through BatchScheduler — the batch entry point
 /// the experiment pipeline itself uses — so per-graph topology preparation
 /// amortizes across reps exactly as it does across samples of a sweep, and
-/// the steady state performs zero heap allocation.  Emits
-/// BENCH_scheduler.json.  Two gates, both enforced by CI:
+/// the steady state performs zero heap allocation.  Each figure is the
+/// median over reps that interleave the two cores, after one warm-up rep.
+/// Emits BENCH_scheduler.json, host included.  Two gates, both enforced by CI:
 /// `--require X` checks the shared-bus speedup — the configuration that
 /// exercises the full optimized machinery (BusTimeline tail-hint /
 /// binary-search gap queries on a timeline that actually grows) — and
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "perf_common.hpp"
 #include "core/comm_estimator.hpp"
 #include "core/metrics.hpp"
 #include "core/slicing.hpp"
@@ -74,20 +76,21 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 }
 
 struct Timing {
-  double ref_ms = 0.0;
-  double fast_ms = 0.0;
+  double ref_ms = 0.0;   ///< Median reference-core batch time.
+  double fast_ms = 0.0;  ///< Median fast-core batch time.
+  double speedup = 0.0;  ///< Median of the per-rep ref/fast ratios.
   double checksum_ref = 0.0;
   double checksum_fast = 0.0;
-
-  double speedup() const { return fast_ms > 0.0 ? ref_ms / fast_ms : 0.0; }
 };
 
-/// Best-of-\p reps batch time for both cores on one machine shape.
+/// Times both cores on one machine shape.  Each rep runs the reference
+/// batch and then the fast batch back to back, so drift in the host's
+/// speed (frequency scaling, a noisy neighbour) hits both sides of a
+/// rep's ratio alike; one untimed warm-up rep comes first, and the
+/// medians resist a single disturbed rep where best-of would chase it.
 Timing time_batch(const std::vector<Sample>& batch, const Machine& machine,
                   const SchedulerOptions& options, int reps) {
   Timing timing;
-  timing.ref_ms = 1e300;
-  timing.fast_ms = 1e300;
 
   std::vector<const TaskGraph*> graphs;
   std::vector<const DeadlineAssignment*> assignments;
@@ -111,7 +114,10 @@ Timing time_batch(const std::vector<Sample>& batch, const Machine& machine,
                     }
                   });
 
-  for (int rep = 0; rep < reps; ++rep) {
+  std::vector<double> ref_ms;
+  std::vector<double> fast_ms;
+  std::vector<double> ratios;
+  for (int rep = -1; rep < reps; ++rep) {  // rep -1 is the warm-up
     double checksum = 0.0;
     auto t0 = std::chrono::steady_clock::now();
     for (const Sample& sample : batch) {
@@ -119,21 +125,29 @@ Timing time_batch(const std::vector<Sample>& batch, const Machine& machine,
           list_schedule_ref(sample.graph, sample.assignment, machine, options)
               .makespan();
     }
-    timing.ref_ms = std::min(timing.ref_ms, ms_since(t0));
+    const double ref = ms_since(t0);
     timing.checksum_ref = checksum;
 
     // The batch scheduler already holds every sample's prepared topology
-    // from the gate pass above, so from the first timed rep onward this is
-    // the experiment pipeline's steady state: zero builds, zero allocation.
+    // from the gate pass above, so every rep is the experiment pipeline's
+    // steady state: zero builds, zero allocation.
     checksum = 0.0;
     t0 = std::chrono::steady_clock::now();
     batch_sched.run(graphs.data(), assignments.data(), graphs.size(), machine,
                     options, [&checksum](std::size_t, const Schedule& schedule) {
                       checksum += schedule.makespan();
                     });
-    timing.fast_ms = std::min(timing.fast_ms, ms_since(t0));
+    const double fast = ms_since(t0);
     timing.checksum_fast = checksum;
+
+    if (rep < 0) continue;
+    ref_ms.push_back(ref);
+    fast_ms.push_back(fast);
+    ratios.push_back(fast > 0.0 ? ref / fast : 0.0);
   }
+  timing.ref_ms = bench::median(ref_ms);
+  timing.fast_ms = bench::median(fast_ms);
+  timing.speedup = bench::median(ratios);
   return timing;
 }
 
@@ -177,7 +191,8 @@ int main(int argc, char** argv) {
   machine.n_procs = procs;
 
   SchedulerOptions options;  // paper defaults: time-driven, EDF, gap-search
-  std::cout << "timing contention-free batch (best of " << reps << ")...\n";
+  std::cout << "timing contention-free batch (median of " << reps
+            << " interleaved reps after one warm-up)...\n";
   const Timing free_t = time_batch(batch, machine, options, reps);
 
   machine.contention = CommContention::SharedBus;
@@ -185,9 +200,9 @@ int main(int argc, char** argv) {
   const Timing bus_t = time_batch(batch, machine, options, reps);
 
   std::cout << "contention-free: ref " << free_t.ref_ms << " ms, fast "
-            << free_t.fast_ms << " ms, speedup " << free_t.speedup() << "x\n"
+            << free_t.fast_ms << " ms, speedup " << free_t.speedup << "x\n"
             << "shared-bus:      ref " << bus_t.ref_ms << " ms, fast "
-            << bus_t.fast_ms << " ms, speedup " << bus_t.speedup() << "x\n"
+            << bus_t.fast_ms << " ms, speedup " << bus_t.speedup << "x\n"
             << "checksums: " << free_t.checksum_fast << " / " << bus_t.checksum_fast
             << "\n";
 
@@ -197,28 +212,30 @@ int main(int argc, char** argv) {
       << "  \"samples\": " << samples << ",\n"
       << "  \"procs\": " << procs << ",\n"
       << "  \"reps\": " << reps << ",\n"
+      << "  \"statistic\": \"median of interleaved reps after one warm-up\",\n"
+      << "  \"host\": " << bench::host_json() << ",\n"
       << "  \"backend\": \"" << kernels::active().name << "\",\n"
       << "  \"cpu_features\": \"" << kernels::cpu_features() << "\",\n"
       << "  \"built_with_avx2\": " << (kernels::built_with_avx2() ? "true" : "false")
       << ",\n"
       << "  \"contention_free\": {\"ref_ms\": " << free_t.ref_ms
-      << ", \"fast_ms\": " << free_t.fast_ms << ", \"speedup\": " << free_t.speedup()
+      << ", \"fast_ms\": " << free_t.fast_ms << ", \"speedup\": " << free_t.speedup
       << "},\n"
       << "  \"shared_bus\": {\"ref_ms\": " << bus_t.ref_ms
-      << ", \"fast_ms\": " << bus_t.fast_ms << ", \"speedup\": " << bus_t.speedup()
+      << ", \"fast_ms\": " << bus_t.fast_ms << ", \"speedup\": " << bus_t.speedup
       << "}\n"
       << "}\n";
   std::cout << "wrote " << out_path << "\n";
 
 
   bool ok = true;
-  if (require > 0.0 && bus_t.speedup() < require) {
-    std::cerr << "perf_scheduler: shared-bus speedup " << bus_t.speedup()
+  if (require > 0.0 && bus_t.speedup < require) {
+    std::cerr << "perf_scheduler: shared-bus speedup " << bus_t.speedup
               << "x is below the required " << require << "x\n";
     ok = false;
   }
-  if (require_cf > 0.0 && free_t.speedup() < require_cf) {
-    std::cerr << "perf_scheduler: contention-free speedup " << free_t.speedup()
+  if (require_cf > 0.0 && free_t.speedup < require_cf) {
+    std::cerr << "perf_scheduler: contention-free speedup " << free_t.speedup
               << "x is below the required " << require_cf << "x\n";
     ok = false;
   }

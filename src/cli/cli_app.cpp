@@ -21,6 +21,7 @@
 #include "util/parallel.hpp"
 #include "core/comm_estimator.hpp"
 #include "core/demand.hpp"
+#include "core/diffdist.hpp"
 #include "core/distribution_validate.hpp"
 #include "core/metrics.hpp"
 #include "core/slicing.hpp"
@@ -82,6 +83,8 @@ commands:
   exact       branch-and-bound optimality oracle (single instance or gap sweep)
   profile     instrumented sweep: per-phase timings, counters, Chrome trace
   diffsched   differential test of every (scheduler core x kernel backend)
+  diffdist    differential test of the critical-path finder against the
+              retained reference, per find() and per assignment
   torture     crash-resume torture: kill campaigns at injected faults, resume,
               assert results identical to an uninterrupted run
   serve       long-lived evaluation daemon (HTTP/1.1 + JSON over TCP)
@@ -189,6 +192,13 @@ diffsched options (trace contract: docs/SCHEDULER.md):
                           once per available kernel backend (default 500)
   --seed S                root RNG seed                  (default 1)
   --quick                 smaller graphs/machines (smoke run)
+
+diffdist options (oracle: docs/ALGORITHM.md):
+  --trials N              seeded graphs, each distributed under all 10
+                          metric x estimator pairs by both finders
+                          (default 300)
+  --seed S                root RNG seed                  (default 1)
+  --quick                 smaller graphs (smoke run)
 
 serve options (protocol and endpoints: docs/SERVE.md; exit 130 = drained on
 SIGINT/SIGTERM with resumable campaign checkpoints):
@@ -1656,6 +1666,28 @@ int cmd_diffsched(Args& args, std::ostream& out) {
   return result.ok() ? kOk : kFailure;
 }
 
+// ----------------------------------------------------------------- diffdist
+
+int cmd_diffdist(Args& args, std::ostream& out) {
+  DiffDistConfig config;
+  while (!args.done()) {
+    const std::string flag = args.pop();
+    if (flag == "--trials") {
+      config.trials = static_cast<int>(parse_int_arg(flag, args.value_for(flag)));
+      if (config.trials < 1) throw UsageError("--trials must be positive");
+    } else if (flag == "--seed") {
+      config.seed =
+          static_cast<std::uint64_t>(parse_int_arg(flag, args.value_for(flag)));
+    } else if (flag == "--quick") {
+      config.quick = true;
+    } else {
+      throw UsageError("diffdist: unknown option '" + flag + "'");
+    }
+  }
+  const DiffDistResult result = run_diffdist(config, &out);
+  return result.ok() ? kOk : kFailure;
+}
+
 // ------------------------------------------------------------------ torture
 
 int cmd_torture(Args& args, std::ostream& out) {
@@ -1752,6 +1784,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in, std::ostream
     if (command == "exact") return cmd_exact(rest, in, out);
     if (command == "profile") return cmd_profile(rest, out);
     if (command == "diffsched") return cmd_diffsched(rest, out);
+    if (command == "diffdist") return cmd_diffdist(rest, out);
     if (command == "torture") return cmd_torture(rest, out);
     if (command == "chaos") return cmd_chaos(rest, out);
     if (command == "serve") return cmd_serve(rest, out);

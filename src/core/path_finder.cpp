@@ -1,10 +1,17 @@
 #include "core/path_finder.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "taskgraph/algorithms.hpp"
 
 namespace feast {
+
+namespace {
+
+constexpr std::uint32_t kEmptyLo = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
 
 CriticalPathFinder::CriticalPathFinder(const TaskGraph& graph, const SliceMetric& metric,
                                        const CommCostEstimator& estimator)
@@ -12,207 +19,192 @@ CriticalPathFinder::CriticalPathFinder(const TaskGraph& graph, const SliceMetric
   const std::size_t n = graph.node_count();
   effective_.resize(n);
   virtual_.resize(n);
+  step_.resize(n);
   for (const NodeId id : graph.all_nodes()) {
     const Time eff = graph.is_computation(id) ? graph.node(id).exec_time
                                               : estimator.estimate(graph, id);
     effective_[id.index()] = eff;
     virtual_[id.index()] = metric.virtual_cost(graph, id, eff);
+    step_[id.index()] = eff > kNegligibleCost ? 1 : 0;
     FEAST_ASSERT_MSG(virtual_[id.index()] >= eff - kTimeEps,
                      "virtual cost must not undercut the effective cost");
   }
   const auto order = topological_order(graph);
   FEAST_REQUIRE_MSG(order.has_value(), "critical-path search requires an acyclic graph");
   topo_ = *order;
-  best_.resize(n);
-  parent_.resize(n);
+
+  // depth(v): the most non-negligible nodes on any full-graph path ending
+  // at v.  Every residual path into v is such a path, so row v needs only
+  // hop counts 0..depth(v).
+  std::vector<std::uint32_t> depth(n, 0);
+  for (const NodeId id : topo_) {
+    std::uint32_t deepest = 0;
+    for (const NodeId p : graph.preds(id)) deepest = std::max(deepest, depth[p.index()]);
+    depth[id.index()] = deepest + step_[id.index()];
+  }
+  offset_.resize(n + 1);
+  offset_[0] = 0;
+  for (std::size_t v = 0; v < n; ++v) offset_[v + 1] = offset_[v] + depth[v] + 1;
+  best_.assign(offset_[n], -kInfiniteTime);
+  parent_.resize(offset_[n]);
+  lo_.assign(n, kEmptyLo);
+  hi_.assign(n, 0);
+}
+
+void CriticalPathFinder::sweep(const ResidualState& state, Time group_lb) {
+  const TaskGraph& graph = *graph_;
+
+  // Reset the live ranges of the residual rows.  Rows of nodes assigned
+  // since the last sweep keep stale values but are never read again.
+  for (const NodeId id : residual_) {
+    const std::size_t v = id.index();
+    for (std::uint32_t k = lo_[v]; k < hi_[v]; ++k) best_[offset_[v] + k] = -kInfiniteTime;
+    lo_[v] = kEmptyLo;
+    hi_[v] = 0;
+  }
+  for (const NodeId s : sources_) {
+    if (!time_eq(state.lb[s.index()], group_lb)) continue;
+    const std::size_t v = s.index();
+    const std::uint32_t k = step_[v];
+    Time& entry = best_[offset_[v] + k];
+    if (virtual_[v] > entry) {
+      entry = virtual_[v];
+      parent_[offset_[v] + k] = NodeId();
+      lo_[v] = std::min(lo_[v], k);
+      hi_[v] = std::max(hi_[v], k + 1);
+    }
+  }
+
+  // Forward propagation in topological order over residual arcs.  Every
+  // written entry is finite and only grows, so a row's live range has
+  // finite ends: relaxing from id always leaves [lo + step, hi + step)
+  // inside the successor's live range, whether or not an entry improved.
+  std::uint64_t relaxations = 0;
+  for (const NodeId id : residual_) {
+    const std::size_t v = id.index();
+    const std::uint32_t lo = lo_[v];
+    const std::uint32_t hi = hi_[v];
+    if (lo >= hi) continue;
+    const Time* row = &best_[offset_[v]];
+    for (const NodeId succ : graph.succs(id)) {
+      const std::size_t w = succ.index();
+      if (state.assigned[w]) continue;
+      const std::uint32_t step = step_[w];
+      FEAST_ASSERT(offset_[w] + hi + step <= offset_[w + 1]);
+      Time* succ_row = &best_[offset_[w] + step];
+      NodeId* succ_par = &parent_[offset_[w] + step];
+      const Time vw = virtual_[w];
+      for (std::uint32_t k = lo; k < hi; ++k) {
+        if (row[k] <= -kInfiniteTime) continue;
+        ++relaxations;
+        const Time cand = row[k] + vw;
+        if (cand > succ_row[k]) {
+          succ_row[k] = cand;
+          succ_par[k] = id;
+        }
+      }
+      lo_[w] = std::min(lo_[w], lo + step);
+      hi_[w] = std::max(hi_[w], hi + step);
+    }
+  }
+  relaxations_ += relaxations;
 }
 
 std::optional<CriticalPathResult> CriticalPathFinder::find(const ResidualState& state) {
   const TaskGraph& graph = *graph_;
   FEAST_REQUIRE(state.assigned.size() == graph.node_count());
+  const auto assigned = [&](NodeId p) { return state.assigned[p.index()]; };
 
-  // Collect residual sources, grouped by their release lower bound so that
-  // sources sharing lb can share one DP sweep.
-  std::vector<NodeId> sources;
-  std::size_t residual_count = 0;
-  std::size_t effective_count = 0;
+  // Collect the residual nodes, its sources and its sinks in topological
+  // order.
+  residual_.clear();
+  sources_.clear();
+  sinks_.clear();
   for (const NodeId id : topo_) {
     if (state.assigned[id.index()]) continue;
-    ++residual_count;
-    if (effective_[id.index()] > kNegligibleCost) ++effective_count;
+    residual_.push_back(id);
     const auto& preds = graph.preds(id);
-    const bool is_source =
-        std::all_of(preds.begin(), preds.end(),
-                    [&](NodeId p) { return state.assigned[p.index()]; });
-    if (is_source) {
+    if (std::all_of(preds.begin(), preds.end(), assigned)) {
       FEAST_ASSERT_MSG(is_set(state.lb[id.index()]),
                        "residual source lacks a release lower bound");
-      sources.push_back(id);
+      sources_.push_back(id);
     }
-  }
-  if (residual_count == 0) return std::nullopt;
-  FEAST_ASSERT_MSG(!sources.empty(), "non-empty residual graph has no source");
-
-  std::vector<Time> lbs;
-  for (const NodeId s : sources) {
-    const Time lb = state.lb[s.index()];
-    if (std::find_if(lbs.begin(), lbs.end(),
-                     [&](Time t) { return time_eq(t, lb); }) == lbs.end()) {
-      lbs.push_back(lb);
-    }
-  }
-
-  const std::size_t max_hops = effective_count;  // k ranges over [0, max_hops]
-  const std::size_t width = max_hops + 1;
-
-  std::optional<CriticalPathResult> best_result;
-  Time best_sink_lb = 0.0;  // lb of the group that produced best_result
-
-  for (const Time group_lb : lbs) {
-    // Reset the DP rows of the residual nodes for this group's sweep.
-    for (const NodeId id : topo_) {
-      if (state.assigned[id.index()]) continue;
-      auto& row = best_[id.index()];
-      if (row.size() != width) {
-        row.assign(width, -kInfiniteTime);
-        parent_[id.index()].assign(width, NodeId());
-      } else {
-        std::fill(row.begin(), row.end(), -kInfiniteTime);
-        std::fill(parent_[id.index()].begin(), parent_[id.index()].end(), NodeId());
-      }
-    }
-    for (const NodeId s : sources) {
-      if (!time_eq(state.lb[s.index()], group_lb)) continue;
-      const std::size_t k = effective_[s.index()] > kNegligibleCost ? 1 : 0;
-      auto& row = best_[s.index()];
-      if (virtual_[s.index()] > row[k]) {
-        row[k] = virtual_[s.index()];
-        parent_[s.index()][k] = NodeId();
-      }
-    }
-
-    // Forward propagation in topological order over residual arcs.
-    for (const NodeId id : topo_) {
-      if (state.assigned[id.index()]) continue;
-      const auto& row = best_[id.index()];
-      bool any = false;
-      for (const Time t : row) {
-        if (t > -kInfiniteTime) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) continue;
-      for (const NodeId succ : graph.succs(id)) {
-        if (state.assigned[succ.index()]) continue;
-        const std::size_t step = effective_[succ.index()] > kNegligibleCost ? 1 : 0;
-        auto& succ_row = best_[succ.index()];
-        auto& succ_par = parent_[succ.index()];
-        for (std::size_t k = 0; k < width; ++k) {
-          if (row[k] <= -kInfiniteTime) continue;
-          const std::size_t nk = k + step;
-          if (nk >= width) continue;
-          const Time cand = row[k] + virtual_[succ.index()];
-          if (cand > succ_row[nk]) {
-            succ_row[nk] = cand;
-            succ_par[nk] = id;
-          }
-        }
-      }
-    }
-
-    // Evaluate residual sinks.
-    for (const NodeId id : topo_) {
-      if (state.assigned[id.index()]) continue;
-      const auto& succs = graph.succs(id);
-      const bool is_sink =
-          std::all_of(succs.begin(), succs.end(),
-                      [&](NodeId s) { return state.assigned[s.index()]; });
-      if (!is_sink) continue;
+    const auto& succs = graph.succs(id);
+    if (std::all_of(succs.begin(), succs.end(), assigned)) {
       FEAST_ASSERT_MSG(is_set(state.ub[id.index()]),
                        "residual sink lacks a deadline upper bound");
-      const Time window = state.ub[id.index()] - group_lb;
-      const auto& row = best_[id.index()];
-      for (std::size_t k = 0; k < width; ++k) {
+      sinks_.push_back(id);
+    }
+  }
+  if (residual_.empty()) return std::nullopt;
+  FEAST_ASSERT_MSG(!sources_.empty(), "non-empty residual graph has no source");
+
+  // Group the sources by their release lower bound so that sources sharing
+  // lb share one DP sweep.
+  lbs_.clear();
+  for (const NodeId s : sources_) {
+    const Time lb = state.lb[s.index()];
+    if (std::none_of(lbs_.begin(), lbs_.end(), [&](Time t) { return time_eq(t, lb); })) {
+      lbs_.push_back(lb);
+    }
+  }
+
+  // The winning (sink, hops) state and the group that reached it.
+  bool found = false;
+  NodeId win_sink;
+  std::uint32_t win_hops = 0;
+  Time win_lb = 0.0;
+  PathEvaluation win_eval;
+  double win_ratio = 0.0;
+  const SlackShare share = metric_->share();
+
+  for (const Time group_lb : lbs_) {
+    ++lb_groups_;
+    sweep(state, group_lb);
+
+    // Evaluate residual sinks.
+    for (const NodeId id : sinks_) {
+      const std::size_t v = id.index();
+      const Time window = state.ub[v] - group_lb;
+      const Time* row = &best_[offset_[v]];
+      for (std::uint32_t k = lo_[v]; k < hi_[v]; ++k) {
         if (row[k] <= -kInfiniteTime) continue;
         PathEvaluation eval;
         eval.window = window;
         eval.sum_virtual = row[k];
         eval.effective_hops = static_cast<int>(k);
-        const double ratio = slice_ratio(eval, metric_->share());
-        if (!best_result || ratio < best_result->ratio) {
-          CriticalPathResult result;
-          result.window_start = group_lb;
-          result.window_end = state.ub[id.index()];
-          result.eval = eval;
-          result.ratio = ratio;
-          // Node sequence reconstructed below only for the winner; store
-          // the sink/hops via the nodes vector temporarily.
-          result.nodes = {id};
-          result.nodes.reserve(2);
-          // Encode k in eval.effective_hops (already there).
-          best_result = std::move(result);
-          best_sink_lb = group_lb;
-        }
-      }
-    }
-
-  }
-
-  if (!best_result) return std::nullopt;
-
-  // Re-run the winning group's DP to reconstruct the path.  (The scratch
-  // tables currently hold the *last* group's sweep, which may not be the
-  // winner's.)  Cheap relative to the sweep over all groups.
-  if (!time_eq(best_sink_lb, lbs.back())) {
-    for (const NodeId id : topo_) {
-      if (state.assigned[id.index()]) continue;
-      auto& row = best_[id.index()];
-      std::fill(row.begin(), row.end(), -kInfiniteTime);
-      std::fill(parent_[id.index()].begin(), parent_[id.index()].end(), NodeId());
-    }
-    for (const NodeId s : sources) {
-      if (!time_eq(state.lb[s.index()], best_sink_lb)) continue;
-      const std::size_t k = effective_[s.index()] > kNegligibleCost ? 1 : 0;
-      if (virtual_[s.index()] > best_[s.index()][k]) {
-        best_[s.index()][k] = virtual_[s.index()];
-        parent_[s.index()][k] = NodeId();
-      }
-    }
-    for (const NodeId id : topo_) {
-      if (state.assigned[id.index()]) continue;
-      const auto& row = best_[id.index()];
-      for (const NodeId succ : graph.succs(id)) {
-        if (state.assigned[succ.index()]) continue;
-        const std::size_t step = effective_[succ.index()] > kNegligibleCost ? 1 : 0;
-        for (std::size_t k = 0; k < width; ++k) {
-          if (row[k] <= -kInfiniteTime) continue;
-          const std::size_t nk = k + step;
-          if (nk >= width) continue;
-          const Time cand = row[k] + virtual_[succ.index()];
-          if (cand > best_[succ.index()][nk]) {
-            best_[succ.index()][nk] = cand;
-            parent_[succ.index()][nk] = id;
-          }
+        const double ratio = slice_ratio(eval, share);
+        if (!found || ratio < win_ratio) {
+          found = true;
+          win_sink = id;
+          win_hops = k;
+          win_lb = group_lb;
+          win_eval = eval;
+          win_ratio = ratio;
         }
       }
     }
   }
+  if (!found) return std::nullopt;
 
-  // Walk parent pointers back from (sink, k).
-  const NodeId sink = best_result->nodes.front();
-  std::vector<NodeId> path;
-  NodeId cur = sink;
-  auto k = static_cast<std::size_t>(best_result->eval.effective_hops);
+  // The table holds the last group's sweep; re-run the winner's to walk
+  // its parent pointers back from (sink, hops).
+  if (!time_eq(win_lb, lbs_.back())) sweep(state, win_lb);
+  CriticalPathResult result;
+  NodeId cur = win_sink;
+  std::uint32_t k = win_hops;
   while (cur.valid()) {
-    path.push_back(cur);
-    const NodeId par = parent_[cur.index()][k];
-    k -= effective_[cur.index()] > kNegligibleCost ? 1 : 0;
+    result.nodes.push_back(cur);
+    const NodeId par = parent_[offset_[cur.index()] + k];
+    k -= step_[cur.index()];
     cur = par;
   }
-  std::reverse(path.begin(), path.end());
-  best_result->nodes = std::move(path);
-  return best_result;
+  std::reverse(result.nodes.begin(), result.nodes.end());
+  result.window_start = win_lb;
+  result.window_end = state.ub[win_sink.index()];
+  result.eval = win_eval;
+  result.ratio = win_ratio;
+  return result;
 }
 
 }  // namespace feast

@@ -14,6 +14,18 @@
 /// maximizing Σv per (t, k) — the DP is exact, not a heuristic.  This
 /// realizes the paper's "breadth-first traversal" with a per-level table.
 ///
+/// The table is hop-banded.  A residual path into v is also a path of the
+/// full graph, so its hop count is at most depth(v), the most
+/// non-negligible nodes on any full-graph path ending at v.  Row v
+/// therefore holds depth(v) + 1 entries, fixed at construction, and all
+/// rows live in one flat arena.  Within one sweep each row also tracks the
+/// live hop range [lo, hi) that seeds and relaxations have written; resets
+/// clear only that range and relaxations iterate only over it.  Every entry
+/// outside it is −∞, so the search visits exactly the states a full-width
+/// table would hold finite, in the same order: the result is bit-identical
+/// to the retained full-width CriticalPathFinderRef (path_finder_ref.hpp),
+/// which `feastc diffdist` checks.
+///
 /// A *residual source* is an unassigned node all of whose predecessors are
 /// assigned (its release lower bound lb is known); a *residual sink* is an
 /// unassigned node all of whose successors are assigned (its deadline upper
@@ -21,6 +33,7 @@
 /// lb(source).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -75,16 +88,42 @@ class CriticalPathFinder {
     return virtual_[id.index()];
   }
 
+  /// Source-lb groups swept by every find() so far (one DP sweep each).
+  std::uint64_t lb_groups() const noexcept { return lb_groups_; }
+
+  /// DP relaxations attempted by every find() so far, path reconstruction
+  /// included: one per finite (node, hops) entry and residual successor.
+  std::uint64_t relaxations() const noexcept { return relaxations_; }
+
  private:
+  /// One DP sweep seeded by the residual sources whose lb matches
+  /// \p group_lb, over the residual nodes collected by find().
+  void sweep(const ResidualState& state, Time group_lb);
+
   const TaskGraph* graph_;
   const SliceMetric* metric_;
-  std::vector<Time> effective_;  ///< Per-node effective cost.
-  std::vector<Time> virtual_;    ///< Per-node virtual cost v_i.
-  std::vector<NodeId> topo_;     ///< Full-graph topological order.
+  std::vector<Time> effective_;     ///< Per-node effective cost.
+  std::vector<Time> virtual_;       ///< Per-node virtual cost v_i.
+  std::vector<std::uint8_t> step_;  ///< 1 when the node is non-negligible.
+  std::vector<NodeId> topo_;        ///< Full-graph topological order.
 
-  // Scratch buffers reused across find() calls (indexed [node][hops]).
-  std::vector<std::vector<Time>> best_;
-  std::vector<std::vector<NodeId>> parent_;
+  // The hop-banded table: row v is best_/parent_[offset_[v] + k] for
+  // k in [0, depth(v)] (offset_ has node_count + 1 entries), live over
+  // [lo_[v], hi_[v]) (empty when lo ≥ hi).
+  std::vector<std::size_t> offset_;
+  std::vector<std::uint32_t> lo_;
+  std::vector<std::uint32_t> hi_;
+  std::vector<Time> best_;
+  std::vector<NodeId> parent_;
+
+  // Per-find() scratch, in topological order.
+  std::vector<NodeId> residual_;
+  std::vector<NodeId> sources_;
+  std::vector<NodeId> sinks_;
+  std::vector<Time> lbs_;
+
+  std::uint64_t lb_groups_ = 0;
+  std::uint64_t relaxations_ = 0;
 };
 
 }  // namespace feast

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
+#include <thread>
 
 #include "util/table.hpp"
 
@@ -63,6 +64,9 @@ const char* to_string(Counter counter) noexcept {
     case Counter::ServeWorkerLease: return "serve.worker.lease";
     case Counter::ServeWorkerResult: return "serve.worker.result";
     case Counter::ServeWorkerLost: return "serve.worker.lost";
+    case Counter::DistIterations: return "dist.iterations";
+    case Counter::DistLbGroups: return "dist.lb_groups";
+    case Counter::DistDpRelax: return "dist.dp_relax";
   }
   return "?";
 }
@@ -70,6 +74,7 @@ const char* to_string(Counter counter) noexcept {
 namespace detail {
 
 std::atomic<Sink*> g_active{nullptr};
+std::atomic<std::uint32_t> g_recorders{0};
 
 namespace {
 
@@ -134,6 +139,30 @@ void record_span(Sink& sink, Span span, std::uint64_t start_ns) noexcept {
   if (sink.capture_events_) {
     buffer.events.push_back({static_cast<std::uint8_t>(span), start_ns, dur_ns});
   }
+}
+
+// The recorder side of the g_recorders handshake: announce, then re-read
+// g_active (both sequentially consistent, mirroring ~ScopedSink's store
+// then drain), so either the uninstaller waits for this record or this
+// record sees the sink already gone.
+void count_active(Counter counter, std::uint64_t n) noexcept {
+  g_recorders.fetch_add(1);
+  count_on(g_active.load(), counter, n);
+  g_recorders.fetch_sub(1);
+}
+
+Sink* open_active_span(std::uint64_t& start_ns) noexcept {
+  g_recorders.fetch_add(1);
+  Sink* sink = g_active.load();
+  if (sink != nullptr) start_ns = now_ns(*sink);
+  g_recorders.fetch_sub(1);
+  return sink;
+}
+
+void close_active_span(Sink* sink, Span span, std::uint64_t start_ns) noexcept {
+  g_recorders.fetch_add(1);
+  if (g_active.load() == sink) record_span(*sink, span, start_ns);
+  g_recorders.fetch_sub(1);
 }
 
 }  // namespace detail
@@ -290,7 +319,10 @@ ScopedSink::ScopedSink(Sink& sink) noexcept
     : previous_(detail::g_active.exchange(&sink, std::memory_order_acq_rel)) {}
 
 ScopedSink::~ScopedSink() {
-  detail::g_active.store(previous_, std::memory_order_release);
+  detail::g_active.store(previous_);
+  // Let recorders that still hold the uninstalled sink finish with it; the
+  // caller may destroy it as soon as this returns.
+  while (detail::g_recorders.load() != 0) std::this_thread::yield();
 }
 
 void set_thread_label(std::string label) {

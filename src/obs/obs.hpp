@@ -91,8 +91,11 @@ enum class Counter : std::uint8_t {
   ServeWorkerResult,   ///< Serve: remote worker result frame accepted.
   ServeWorkerLost,     ///< Serve: remote worker declared lost (heartbeat or
                        ///< lease deadline missed; its cells requeue uncharged).
+  DistIterations,  ///< Distribution: slicing-loop iterations (paths sliced).
+  DistLbGroups,    ///< Distribution: source-lb groups swept by the path search.
+  DistDpRelax,     ///< Distribution: path-search DP relaxations attempted.
 };
-inline constexpr std::size_t kCounterCount = 30;
+inline constexpr std::size_t kCounterCount = 33;
 
 const char* to_string(Span span) noexcept;
 const char* to_string(Counter counter) noexcept;
@@ -124,6 +127,16 @@ struct ThreadBuffer {
 
 extern std::atomic<Sink*> g_active;
 
+/// Threads between loading g_active and finishing a record into that sink
+/// through the active-sink forms (count(), SpanScope(Span)).  A pool
+/// worker records a task's span and its steal/sleep counters after the
+/// parallel_for that queued the task has already returned, so it can
+/// still hold the sink when the installer uninstalls and destroys it.
+/// ~ScopedSink therefore waits for this count to drain after restoring
+/// the previous sink; a recorder that enters later re-reads g_active and
+/// no longer sees the uninstalled sink.
+extern std::atomic<std::uint32_t> g_recorders;
+
 /// The calling thread's buffer in \p sink (registered on first use).
 ThreadBuffer& buffer_for(Sink& sink);
 
@@ -132,6 +145,18 @@ std::uint64_t now_ns(const Sink& sink) noexcept;
 
 /// Closes a span: aggregates and (when capturing) appends a trace event.
 void record_span(Sink& sink, Span span, std::uint64_t start_ns) noexcept;
+
+/// count() once a sink was seen installed: records under g_recorders.
+void count_active(Counter counter, std::uint64_t n) noexcept;
+
+/// SpanScope(Span) entry once a sink was seen installed: the sink still
+/// installed (or nullptr), with \p start_ns set, read under g_recorders.
+Sink* open_active_span(std::uint64_t& start_ns) noexcept;
+
+/// SpanScope(Span) exit: records into \p sink under g_recorders, only if
+/// it is still the installed sink (a span that outlives its sink's
+/// installation is dropped, as records after an export are).
+void close_active_span(Sink* sink, Span span, std::uint64_t start_ns) noexcept;
 
 }  // namespace detail
 
@@ -233,7 +258,8 @@ inline void count_on(Sink* sink, Counter counter, std::uint64_t n = 1) noexcept 
 /// Bumps \p counter on the active sink; a single relaxed atomic load and
 /// a branch when observability is off.
 inline void count(Counter counter, std::uint64_t n = 1) noexcept {
-  count_on(detail::g_active.load(std::memory_order_relaxed), counter, n);
+  if (detail::g_active.load(std::memory_order_relaxed) == nullptr) return;
+  detail::count_active(counter, n);
 }
 
 /// RAII scoped span: reads the clock on entry and exit and records the
@@ -241,17 +267,27 @@ inline void count(Counter counter, std::uint64_t n = 1) noexcept {
 /// null (observability off) both ends are a null check.
 class SpanScope {
  public:
-  /// Records against the active sink (captured once, at entry).
-  explicit SpanScope(Span span) noexcept
-      : SpanScope(detail::g_active.load(std::memory_order_relaxed), span) {}
+  /// Records against the active sink (captured once, at entry), if it is
+  /// still installed at exit.
+  explicit SpanScope(Span span) noexcept : sink_(nullptr), span_(span), active_(true) {
+    if (detail::g_active.load(std::memory_order_relaxed) != nullptr) {
+      sink_ = detail::open_active_span(start_ns_);
+    }
+  }
 
-  /// Records against \p sink (e.g. RunContext::sink); null disables.
+  /// Records against \p sink (e.g. RunContext::sink); null disables.  The
+  /// caller keeps \p sink alive until the scope closes.
   SpanScope(Sink* sink, Span span) noexcept : sink_(sink), span_(span) {
     if (sink_ != nullptr) start_ns_ = detail::now_ns(*sink_);
   }
 
   ~SpanScope() {
-    if (sink_ != nullptr) detail::record_span(*sink_, span_, start_ns_);
+    if (sink_ == nullptr) return;
+    if (active_) {
+      detail::close_active_span(sink_, span_, start_ns_);
+    } else {
+      detail::record_span(*sink_, span_, start_ns_);
+    }
   }
 
   SpanScope(const SpanScope&) = delete;
@@ -260,6 +296,7 @@ class SpanScope {
  private:
   Sink* sink_;
   Span span_;
+  bool active_ = false;  ///< Captured from g_active rather than passed in.
   std::uint64_t start_ns_ = 0;
 };
 

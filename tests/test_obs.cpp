@@ -145,8 +145,9 @@ TEST(Obs, CounterMergeAcrossThreadsIsDeterministic) {
             second.counter_value(obs::Counter::ReadyPush));
   EXPECT_EQ(first.counter_value(obs::Counter::CacheHit),
             second.counter_value(obs::Counter::CacheHit));
-  // Counters never recorded are reported as 0, not as rows.
-  EXPECT_EQ(first.counter_value(obs::Counter::PoolSteal), 0u);
+  // Counters never recorded are reported as 0, not as rows.  (Not
+  // pool.steal: the pool workers record real steals into this sink.)
+  EXPECT_EQ(first.counter_value(obs::Counter::ExactNode), 0u);
 }
 
 TEST(Obs, ChromeTraceRoundTripsThroughJsonParser) {
