@@ -247,7 +247,6 @@ submit options (exit 3 = campaign completed degraded):
 worker options (remote peer of a serve daemon; docs/SERVE.md):
   --connect HOST:PORT     daemon address                 (required)
   --name NAME             stable worker identity         (default worker-<pid>)
-  --slots N               concurrent leases              (default 1)
   --work-dir DIR          spec/shard scratch             (default .feast-worker)
   --cache-dir DIR         exec-cell result cache         (default .feast-cache)
   --no-cache              disable the result cache
@@ -1463,10 +1462,6 @@ int cmd_worker(Args& args, std::ostream& out) {
       connect = args.value_for(flag);
     } else if (flag == "--name") {
       options.name = args.value_for(flag);
-    } else if (flag == "--slots") {
-      const long long n = parse_int_arg(flag, args.value_for(flag));
-      if (n < 1 || n > 64) throw UsageError("--slots wants 1..64");
-      options.slots = static_cast<int>(n);
     } else if (flag == "--work-dir") {
       options.work_dir = args.value_for(flag);
     } else if (flag == "--cache-dir") {

@@ -71,14 +71,4 @@ RunResult run_once(const TaskGraph& graph, Distributor& distributor,
   return result;
 }
 
-RunResult run_once(const TaskGraph& graph, Distributor& distributor,
-                   const Machine& machine, const RunOptions& options) {
-  RunContext context;
-  context.machine = machine;
-  context.scheduler = options.scheduler;
-  context.core = options.core;
-  context.validate = options.validate;
-  return run_once(graph, distributor, context);
-}
-
 }  // namespace feast

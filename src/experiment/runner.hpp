@@ -64,16 +64,4 @@ struct RunContext {
 RunResult run_once(const TaskGraph& graph, Distributor& distributor,
                    const RunContext& context);
 
-/// Pre-RunContext options struct, kept one release for out-of-tree callers.
-struct RunOptions {
-  SchedulerOptions scheduler;
-  SchedulerCore core = SchedulerCore::Fast;
-  bool validate = true;
-};
-
-/// Forwarding shim for the old (machine, options) signature.
-[[deprecated("use run_once(graph, distributor, RunContext) instead")]]
-RunResult run_once(const TaskGraph& graph, Distributor& distributor,
-                   const Machine& machine, const RunOptions& options = {});
-
 }  // namespace feast

@@ -69,9 +69,9 @@ enum class Counter : std::uint8_t {
   BusReserve,   ///< Fast core: timeline reservation committed.
   PoolSteal,    ///< Pool: task acquired from another worker's deque.
   PoolSleep,    ///< Pool: worker went idle (blocked on the sleep cv).
-  SuperviseSpawn,       ///< Supervisor: worker subprocess spawned.
+  SuperviseSpawn,       ///< Worker pool: exec-cell subprocess spawned.
   SuperviseRetry,       ///< Supervisor: failed attempt requeued (backoff).
-  SuperviseKill,        ///< Supervisor: watchdog SIGTERM/SIGKILL issued.
+  SuperviseKill,        ///< Worker pool: watchdog/drain SIGTERM/SIGKILL issued.
   SuperviseQuarantine,  ///< Supervisor: cell quarantined (retry budget spent).
   ShardCorrupt,    ///< Shard result rejected: checksum/field corruption.
   ShardTruncated,  ///< Shard result rejected: short read / missing tail.

@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <csignal>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -76,48 +75,9 @@ bool known_inject_action(const std::string& value) {
          action == "worker-die";
 }
 
-/// Resolves an inject value ("action" or "action@N") against one attempt.
-std::string inject_for_attempt(const std::string& value, int attempt) {
-  const std::size_t at = value.find('@');
-  if (at == std::string::npos) return value;
-  const int only = std::atoi(value.c_str() + at + 1);
-  return attempt == only ? value.substr(0, at) : std::string();
-}
-
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-// Drain flag set from the SIGINT/SIGTERM handler; the reactor polls it
-// between ticks (async-signal-safe by construction, same pattern as the
-// supervised campaign runner).
-volatile std::sig_atomic_t g_serve_signal = 0;
-
-void serve_signal_handler(int sig) { g_serve_signal = sig; }
-
-class SignalGuard {
- public:
-  SignalGuard() {
-    g_serve_signal = 0;
-    struct sigaction action {};
-    action.sa_handler = serve_signal_handler;
-    sigemptyset(&action.sa_mask);
-    sigaction(SIGINT, &action, &old_int_);
-    sigaction(SIGTERM, &action, &old_term_);
-  }
-  ~SignalGuard() {
-    sigaction(SIGINT, &old_int_, nullptr);
-    sigaction(SIGTERM, &old_term_, nullptr);
-  }
-  SignalGuard(const SignalGuard&) = delete;
-  SignalGuard& operator=(const SignalGuard&) = delete;
-
-  int signal() const noexcept { return static_cast<int>(g_serve_signal); }
-
- private:
-  struct sigaction old_int_ {};
-  struct sigaction old_term_ {};
-};
 
 // --------------------------------------------------------------- the model
 
@@ -538,7 +498,8 @@ struct Server::Impl {
       const std::string key = next_queued();
       if (key.empty()) return;
       CellJob& job = jobs[key];
-      const std::string inject = inject_for_attempt(job.inject, job.attempts + 1);
+      const std::string inject =
+          supervise::inject_for_attempt(job.inject, job.attempts + 1);
       try {
         job.ticket = pool->submit(job.spec_path, job.cell_index, inject);
       } catch (const std::exception& e) {
@@ -645,8 +606,9 @@ struct Server::Impl {
              " requeued uncharged (" + why + ")");
   }
 
-  /// Deregisters \p worker_id and requeues every cell it held.
-  void drop_worker(const std::string& worker_id, const std::string& why) {
+  /// Deregisters \p worker_id and requeues every cell it held.  Takes the id
+  /// by value: a caller may pass the `worker_ids` entry this erases.
+  void drop_worker(std::string worker_id, const std::string& why) {
     const auto it = workers.find(worker_id);
     if (it == workers.end()) return;
     const std::string name = it->second.name;
@@ -1058,7 +1020,8 @@ struct Server::Impl {
       return;
     }
     CellJob& job = jobs.find(key)->second;
-    const std::string inject = inject_for_attempt(job.inject, job.attempts + 1);
+    const std::string inject =
+        supervise::inject_for_attempt(job.inject, job.attempts + 1);
     ++job.attempts;
     std::ifstream spec_in(job.spec_path, std::ios::binary);
     std::ostringstream spec_text;
@@ -1683,7 +1646,7 @@ std::uint16_t Server::port() const noexcept { return impl_->listener.port(); }
 int Server::run() {
   Impl& impl = *impl_;
   if (!impl.listener.valid()) start();
-  SignalGuard signals;
+  supervise::DrainSignalGuard signals;
   bool drained = false;
   while (true) {
     // Assemble this tick's poll set: listener + every connection.

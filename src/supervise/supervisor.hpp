@@ -10,8 +10,11 @@
 /// degradation of imprecise computation: a late or failed piece degrades
 /// the result instead of aborting the run.
 ///
-///   * **Watchdog** — each attempt gets a wall-clock deadline; overruns are
-///     killed with SIGTERM → (grace) → SIGKILL escalation.
+/// The runner is policy over a supervise::WorkerPool (worker_pool.hpp),
+/// which owns the attempt mechanism: spawn, watchdog (SIGTERM → grace →
+/// SIGKILL), shard harvest and the error taxonomy.  The runner decides
+/// what to do with each attempt's outcome:
+///
 ///   * **Retry** — failed attempts requeue under deterministic exponential
 ///     backoff with seeded jitter (replayable from the spec seed alone).
 ///   * **Quarantine** — a cell that exhausts its retry budget is recorded
@@ -26,6 +29,8 @@
 /// unsupervised run (torture asserts the manifest fingerprints match).
 /// Policy details: docs/ROBUSTNESS.md.
 #pragma once
+
+#include <csignal>
 
 #include <cstdint>
 #include <iosfwd>
@@ -85,7 +90,7 @@ struct SupervisorOptions {
   /// healthy run, kept (with the logs the manifest errors reference) when
   /// anything was quarantined.
   std::string work_dir;
-  bool keep_work_dir = false;
+  bool keep_work_dir = false;  ///< Keep the work dir and every attempt's files.
   /// Worker binary; empty resolves /proc/self/exe (correct when the caller
   /// is feastc itself; tests pass their configured binary).
   std::string feastc_path;
@@ -111,6 +116,29 @@ struct SupervisorOptions {
 /// Parses a comma-separated `--inject CELL:ACTION[@ATTEMPT]` list.  Throws
 /// std::invalid_argument on malformed input.
 std::map<std::size_t, std::string> parse_inject_spec(const std::string& spec);
+
+/// Resolves an inject value ("action" or "action@N") against one attempt
+/// (1-based): the action, or "" when the value poisons another attempt.
+std::string inject_for_attempt(const std::string& value, int attempt);
+
+/// SIGINT/SIGTERM → drain request, for an event loop that polls signal()
+/// between ticks (the supervised runner and the serve daemon).  The
+/// handler only records the signal (async-signal-safe); the destructor
+/// restores the previous dispositions.  One guard at a time per process.
+class DrainSignalGuard {
+ public:
+  DrainSignalGuard();
+  ~DrainSignalGuard();
+  DrainSignalGuard(const DrainSignalGuard&) = delete;
+  DrainSignalGuard& operator=(const DrainSignalGuard&) = delete;
+
+  /// The drain signal received since construction, 0 for none.
+  int signal() const noexcept;
+
+ private:
+  struct sigaction old_int_ {};
+  struct sigaction old_term_ {};
+};
 
 /// Runs the campaign under process isolation.  Uses options.manifest_path /
 /// resume / progress / cache exactly like run_campaign (the cache pointer is

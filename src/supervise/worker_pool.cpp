@@ -10,7 +10,7 @@
 
 #include "obs/obs.hpp"
 #include "supervise/subprocess.hpp"
-#include "util/fsio.hpp"
+#include "util/strings.hpp"
 
 namespace feast::supervise {
 
@@ -24,14 +24,14 @@ struct WorkerPool::Lease {
   Clock::time_point started;
   fs::path result_path;
   fs::path log_path;
-  obs::Sink* sink = nullptr;  ///< Captured at spawn for the attempt span.
+  obs::Sink* sink = nullptr;  ///< Installed sink at spawn, for the span.
   std::uint64_t span_start_ns = 0;
 };
 
 namespace {
 
-/// The last few lines of a worker log, squeezed onto one line ("" when the
-/// log is missing or empty).  Mirrors the supervisor's error detail.
+/// The last few lines of a worker log, squeezed onto one line for the
+/// error detail ("" when the log is missing or empty).
 std::string log_tail(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return {};
@@ -78,7 +78,8 @@ std::size_t WorkerPool::free_slots() const noexcept {
 }
 
 std::uint64_t WorkerPool::submit(const std::string& spec_path,
-                                 std::size_t cell_index, const std::string& inject) {
+                                 std::size_t cell_index, const std::string& inject,
+                                 const std::string& faults) {
   if (free_slots() == 0) throw std::runtime_error("worker pool: no free slot");
 
   Lease lease;
@@ -111,21 +112,28 @@ std::uint64_t WorkerPool::submit(const std::string& spec_path,
     argv.emplace_back("--inject");
     argv.push_back(inject);
   }
+  if (!faults.empty()) {
+    argv.emplace_back("--faults");
+    argv.push_back(faults);
+  }
 
   SubprocessOptions opts;
   opts.stdout_path = lease.log_path.string();
   opts.stderr_path = "+stdout";
   opts.memory_limit_bytes = options_.memory_limit_mb << 20;
-  // Own process group: a SIGTERM aimed at the daemon must reach only the
-  // daemon (which drains), never the workers.
+  // Own process group: a SIGINT/SIGTERM aimed at the owner (a terminal
+  // Ctrl-C, a daemon stop) must reach only the owner, which drains; a
+  // worker that saw it would harvest as a signal death and be charged.
   opts.new_process_group = true;
 
-  obs::count(obs::Counter::SuperviseSpawn);
   lease.proc = Subprocess::spawn(argv, opts);  // Throws on spawn failure.
+  obs::count(obs::Counter::SuperviseSpawn);
   lease.started = Clock::now();
-  if ((lease.sink = obs::active()) != nullptr) {
-    lease.span_start_ns = obs::detail::now_ns(*lease.sink);
-  }
+  // The guarded form: the owner may run on any thread (the remote worker
+  // does), and the sink may be uninstalled before this lease is harvested.
+  lease.sink = obs::active() != nullptr
+                   ? obs::detail::open_active_span(lease.span_start_ns)
+                   : nullptr;
   const std::uint64_t ticket = lease.ticket;
   leases_.push_back(std::move(lease));
   return ticket;
@@ -133,8 +141,8 @@ std::uint64_t WorkerPool::submit(const std::string& spec_path,
 
 WorkerOutcome WorkerPool::harvest(Lease& lease, bool timed_out) {
   if (lease.sink != nullptr) {
-    obs::detail::record_span(*lease.sink, obs::Span::SuperviseAttempt,
-                             lease.span_start_ns);
+    obs::detail::close_active_span(lease.sink, obs::Span::SuperviseAttempt,
+                                   lease.span_start_ns);
   }
   const ExitStatus& status = lease.proc.status();
   WorkerOutcome outcome;
@@ -142,44 +150,38 @@ WorkerOutcome WorkerPool::harvest(Lease& lease, bool timed_out) {
   outcome.cell_index = lease.cell;
   outcome.wall_s =
       std::chrono::duration<double>(Clock::now() - lease.started).count();
-
-  const std::string tail = log_tail(lease.log_path);
-  const std::string suffix = tail.empty() ? "" : " — " + tail;
-  if (timed_out) {
-    outcome.kind = ErrorKind::Timeout;
-    outcome.error = "watchdog: exceeded deadline (" + status.describe() + ")" +
-                    suffix;
+  const auto fail = [&](ErrorKind kind, std::string message) {
+    const std::string tail = log_tail(lease.log_path);
+    outcome.kind = kind;
+    outcome.error = tail.empty() ? std::move(message) : message + " — " + tail;
     return outcome;
+  };
+
+  if (timed_out) {
+    return fail(ErrorKind::Timeout,
+                "watchdog: exceeded " + format_compact(options_.cell_timeout_s, 3) +
+                    " s deadline (" + status.describe() + ")");
   }
   if (status.kind == ExitStatus::Kind::Lost) {
-    outcome.kind = ErrorKind::Io;
-    outcome.error = "worker " + status.describe() + suffix;
-    return outcome;
+    // waitpid could not observe the worker (reaped elsewhere): an
+    // infrastructure failure, same bucket as a failed spawn.
+    return fail(ErrorKind::Io, "worker " + status.describe());
   }
   if (status.kind == ExitStatus::Kind::Signaled) {
     // Under an address-space cap the kernel's reply to an unservable
     // allocation is SIGKILL; classify that as oom.
-    outcome.kind = (options_.memory_limit_mb > 0 && status.term_signal == SIGKILL)
-                       ? ErrorKind::Oom
-                       : ErrorKind::Signal;
-    outcome.error = "worker " + status.describe() + suffix;
-    return outcome;
+    return fail(options_.memory_limit_mb > 0 && status.term_signal == SIGKILL
+                    ? ErrorKind::Oom
+                    : ErrorKind::Signal,
+                "worker " + status.describe());
   }
-  if (!status.exited(0)) {
-    outcome.kind = ErrorKind::Crash;
-    outcome.error = "worker " + status.describe() + suffix;
-    return outcome;
-  }
+  if (!status.exited(0)) return fail(ErrorKind::Crash, "worker " + status.describe());
   std::ifstream in(lease.result_path, std::ios::binary);
-  if (!in) {
-    outcome.kind = ErrorKind::Io;
-    outcome.error = "worker exited 0 but left no result file" + suffix;
-    return outcome;
-  }
-  const std::string data((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+  if (!in) return fail(ErrorKind::Io, "worker exited 0 but left no result file");
+  std::string frame((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
   ShardError shard_error = ShardError::None;
-  const std::optional<ShardResult> shard = parse_shard_result(data, &shard_error);
+  const std::optional<ShardResult> shard = parse_shard_result(frame, &shard_error);
   if (!shard.has_value() || shard->cell_index != lease.cell) {
     outcome.kind = ErrorKind::Io;
     outcome.error =
@@ -189,11 +191,13 @@ WorkerOutcome WorkerPool::harvest(Lease& lease, bool timed_out) {
     return outcome;
   }
   outcome.ok = true;
-  outcome.kind = ErrorKind::None;
   outcome.shard = *shard;
-  std::error_code ec;
-  fs::remove(lease.result_path, ec);
-  fs::remove(lease.log_path, ec);
+  outcome.frame = std::move(frame);
+  if (!options_.keep_work_dir) {
+    std::error_code ec;
+    fs::remove(lease.result_path, ec);
+    fs::remove(lease.log_path, ec);
+  }
   return outcome;
 }
 
@@ -201,21 +205,20 @@ std::vector<WorkerOutcome> WorkerPool::poll() {
   std::vector<WorkerOutcome> outcomes;
   for (auto it = leases_.begin(); it != leases_.end();) {
     Lease& lease = *it;
-    if (lease.proc.poll()) {
-      outcomes.push_back(harvest(lease, /*timed_out=*/false));
-      it = leases_.erase(it);
-      continue;
-    }
-    const double age_s =
-        std::chrono::duration<double>(Clock::now() - lease.started).count();
-    if (options_.cell_timeout_s > 0.0 && age_s > options_.cell_timeout_s) {
+    bool timed_out = false;
+    if (!lease.proc.poll()) {
+      const double age_s =
+          std::chrono::duration<double>(Clock::now() - lease.started).count();
+      if (options_.cell_timeout_s <= 0.0 || age_s <= options_.cell_timeout_s) {
+        ++it;
+        continue;
+      }
       obs::count(obs::Counter::SuperviseKill);
       lease.proc.kill_and_reap(options_.term_grace_s);
-      outcomes.push_back(harvest(lease, /*timed_out=*/true));
-      it = leases_.erase(it);
-      continue;
+      timed_out = true;
     }
-    ++it;
+    outcomes.push_back(harvest(lease, timed_out));
+    it = leases_.erase(it);
   }
   return outcomes;
 }

@@ -1,16 +1,19 @@
 /// \file worker_pool.hpp
-/// \brief Leased `exec-cell` worker subprocesses for long-lived callers.
+/// \brief The only `exec-cell` spawner: leased worker subprocesses.
 ///
-/// `run_supervised_campaign` owns its workers for the span of one campaign;
-/// a long-lived daemon needs the same process-isolation discipline —
-/// watchdog, SIGTERM→SIGKILL escalation, shard-result harvest, structured
-/// error taxonomy — detached from any single campaign.  WorkerPool is that
-/// extraction: a fixed number of slots, each leased to one
-/// `feastc campaign exec-cell` attempt at a time.  submit() spawns into a
-/// free slot and returns a ticket; poll() harvests finished (or
-/// watchdog-killed) leases without blocking.  Retry and quarantine policy
-/// stay with the caller — the pool reports one attempt's outcome, it does
-/// not decide what an attempt failure means.
+/// Every path that runs a cell out of process goes through WorkerPool: the
+/// supervised campaign runner (one pool per campaign), the serve daemon's
+/// local workers (one pool per daemon) and the remote worker (a one-slot
+/// pool per lease).  The pool owns the whole attempt mechanism — the
+/// `feastc campaign exec-cell` argv, the spawn, the watchdog with its
+/// SIGTERM→SIGKILL escalation, the shard-result harvest and the error
+/// taxonomy (timeout | crash | signal | oom | io, each with the worker
+/// log's tail) — so the three callers cannot drift apart.
+///
+/// submit() spawns into a free slot and returns a ticket; poll() harvests
+/// finished (or watchdog-killed) leases without blocking.  Retry,
+/// quarantine and drain policy stay with the caller: the pool reports one
+/// attempt's outcome, it does not decide what an attempt failure means.
 ///
 /// The destructor kills and reaps every outstanding lease: a pool owner
 /// that dies, drains or unwinds through an exception never leaks a worker
@@ -39,6 +42,9 @@ struct WorkerPoolOptions {
   bool no_cache = false;
   /// Scratch directory for shard results + worker logs.  Required.
   std::string work_dir;
+  /// Keep a successful attempt's shard and log files.  Failed attempts'
+  /// logs always stay: the outcome's error text points at them.
+  bool keep_work_dir = false;
 };
 
 /// One harvested lease.
@@ -49,11 +55,12 @@ struct WorkerOutcome {
   ErrorKind kind = ErrorKind::None;  ///< Why the attempt failed (!ok).
   std::string error;                 ///< Human-readable detail (!ok).
   ShardResult shard;                 ///< Valid when ok.
+  std::string frame;                 ///< The shard file's bytes when ok.
   double wall_s = 0.0;               ///< Lease wall time, spawn → harvest.
 };
 
 /// Fixed-capacity pool of supervised worker subprocesses.  Single-owner:
-/// not thread-safe (the serve daemon drives it from one event loop).
+/// not thread-safe (each owner drives its pool from one thread).
 class WorkerPool {
  public:
   explicit WorkerPool(WorkerPoolOptions options);
@@ -66,12 +73,15 @@ class WorkerPool {
   std::size_t free_slots() const noexcept;
 
   /// Leases a free slot to one `exec-cell` attempt on cell \p cell_index of
-  /// the campaign spec at \p spec_path (\p inject is the poison action to
-  /// forward, "" = none).  Returns a nonzero ticket the eventual
-  /// WorkerOutcome echoes back.  Throws std::runtime_error when the pool is
-  /// full or the spawn fails outright — callers gate on free_slots().
+  /// the campaign spec at \p spec_path.  \p inject is the poison action to
+  /// forward as `--inject`, \p faults the fault plan to arm in the worker
+  /// as `--faults` ("" = none for either).  Returns a nonzero ticket the
+  /// eventual WorkerOutcome echoes back.  Throws std::runtime_error when the
+  /// pool is full or the spawn fails outright — callers gate on
+  /// free_slots().
   std::uint64_t submit(const std::string& spec_path, std::size_t cell_index,
-                       const std::string& inject = "");
+                       const std::string& inject = "",
+                       const std::string& faults = "");
 
   /// Non-blocking harvest: reaps every finished lease, watchdog-kills every
   /// overrun one, and returns their outcomes (possibly empty).

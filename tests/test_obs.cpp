@@ -2,7 +2,7 @@
 /// \brief Tests for the observability subsystem: span recording across
 ///        parallel_for workers, counter merging, the Chrome-trace
 ///        exporter, the disabled-sink fast path, and the RunContext API
-///        (deprecated-overload equivalence, cache-key identity).
+///        (context sink, cache-key identity).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -227,29 +227,6 @@ TEST(Obs, ExplicitContextSinkWinsOverActive) {
   ASSERT_EQ(report.spans.size(), 1u);
   EXPECT_EQ(report.spans[0].span, obs::Span::Validate);
   EXPECT_EQ(report.spans[0].count, 1u);
-}
-
-TEST(RunContextApi, DeprecatedOverloadMatchesRunContext) {
-  RandomGraphConfig config;
-  Pcg32 rng(11);
-  const TaskGraph g = generate_random_graph(config, rng);
-  const auto distributor = strategy_pure(EstimatorKind::CCNE).make(4);
-
-  RunContext context;
-  context.machine.n_procs = 4;
-  const RunResult via_context = run_once(g, *distributor, context);
-
-  RunOptions options;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const RunResult via_legacy = run_once(g, *distributor, context.machine, options);
-#pragma GCC diagnostic pop
-
-  EXPECT_DOUBLE_EQ(via_context.makespan, via_legacy.makespan);
-  EXPECT_DOUBLE_EQ(via_context.end_to_end, via_legacy.end_to_end);
-  EXPECT_DOUBLE_EQ(via_context.lateness.max_lateness,
-                   via_legacy.lateness.max_lateness);
-  EXPECT_EQ(via_context.lateness.count, via_legacy.lateness.count);
 }
 
 TEST(RunContextApi, RunOnceRecordsIntoContextSink) {

@@ -1,7 +1,8 @@
 /// \file test_supervise.cpp
 /// \brief Supervised process isolation: subprocess decoding and watchdog
-///        escalation, deterministic retry backoff, poison-cell quarantine
-///        with degraded-manifest round-trip, and SIGTERM drain + resume.
+///        escalation, the WorkerPool spawner's error taxonomy, deterministic
+///        retry backoff, poison-cell quarantine with degraded-manifest
+///        round-trip, and SIGTERM drain + resume.
 ///
 /// The campaign-level tests drive the real feastc binary (path baked in by
 /// CMake as FEAST_FEASTC_PATH) through run_supervised_campaign and the CLI,
@@ -17,8 +18,10 @@
 #include <sstream>
 
 #include "campaign/campaign.hpp"
+#include "obs/obs.hpp"
 #include "supervise/subprocess.hpp"
 #include "supervise/supervisor.hpp"
+#include "supervise/worker_pool.hpp"
 #include "util/fsio.hpp"
 
 namespace feast::supervise {
@@ -53,6 +56,15 @@ std::string read_file(const fs::path& path) {
   return out.str();
 }
 
+std::size_t entries_in(const fs::path& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
 /// A small campaign spec file: 2 strategies x 2 sizes = 4 cells.
 fs::path write_spec(const fs::path& dir, int samples) {
   const fs::path path = dir / "spec.feast";
@@ -62,6 +74,23 @@ fs::path write_spec(const fs::path& dir, int samples) {
       << "seed = 1234\n"
       << "strategies = pure, norm\n"
       << "sizes = 2, 4\n";
+  return path;
+}
+
+/// A Gap-mode spec (2 cells) whose cell 0 runs the exact oracle, the
+/// target of the `exact-solve` fault site.
+fs::path write_gap_spec(const fs::path& dir) {
+  const fs::path path = dir / "gap.feast";
+  std::ofstream out(path);
+  out << "name = supervise-exact-fault\n"
+      << "samples = 4\n"
+      << "seed = 42\n"
+      << "subtasks = 8:10\n"
+      << "depth = 3:4\n"
+      << "mode = gap\n"
+      << "exact_nodes = 100000\n"
+      << "strategies = norm, pure\n"
+      << "sizes = 2\n";
   return path;
 }
 
@@ -259,12 +288,7 @@ TEST(FsIo, AtomicWriteFilePublishesDurably) {
   ASSERT_TRUE(atomic_write_file(target, "second", &error)) << error;
   EXPECT_EQ(read_file(target), "second");
   // No stray temporaries left behind.
-  std::size_t entries = 0;
-  for (const auto& entry : fs::directory_iterator(dir.path())) {
-    (void)entry;
-    ++entries;
-  }
-  EXPECT_EQ(entries, 1u);
+  EXPECT_EQ(entries_in(dir.path()), 1u);
 
   EXPECT_FALSE(
       atomic_write_file(dir.path() / "missing-dir" / "out.txt", "x", &error));
@@ -482,19 +506,7 @@ TEST(Supervise, ExactSolveFaultIsQuarantinedEndToEnd) {
   // as a crash, re-arm the fault on the retry, quarantine the cell after
   // its attempt budget, and finish the sibling gap cell normally.
   ScratchDir dir("feast-supervise-exact-fault");
-  const fs::path spec_path = dir.path() / "gap.feast";
-  {
-    std::ofstream out(spec_path);
-    out << "name = supervise-exact-fault\n"
-        << "samples = 4\n"
-        << "seed = 42\n"
-        << "subtasks = 8:10\n"
-        << "depth = 3:4\n"
-        << "mode = gap\n"
-        << "exact_nodes = 100000\n"
-        << "strategies = norm, pure\n"
-        << "sizes = 2\n";
-  }
+  const fs::path spec_path = write_gap_spec(dir.path());
   const CampaignSpec spec = CampaignSpec::parse_file(spec_path.string());
   ASSERT_EQ(spec.mode, CampaignMode::Gap);
   ASSERT_EQ(spec.cell_count(), 2u);
@@ -544,6 +556,137 @@ TEST(Supervise, ExactSolveFaultIsQuarantinedEndToEnd) {
   ASSERT_TRUE(run_campaign(spec, base_options).ok());
   EXPECT_EQ(manifest_fingerprint(read_manifest_file(options.manifest_path)),
             manifest_fingerprint(read_manifest_file(base_options.manifest_path)));
+}
+
+// ------------------------------------------------------------ WorkerPool
+
+WorkerPoolOptions pool_options(const fs::path& work_dir) {
+  WorkerPoolOptions options;
+  options.slots = 2;
+  options.term_grace_s = 0.5;
+  options.feastc_path = FEAST_FEASTC_PATH;
+  options.no_cache = true;
+  options.work_dir = work_dir.string();
+  return options;
+}
+
+/// Polls \p pool until one lease is harvested (fails the test after 60 s).
+WorkerOutcome next_outcome(WorkerPool& pool) {
+  for (int i = 0; i < 12000; ++i) {
+    std::vector<WorkerOutcome> outcomes = pool.poll();
+    if (!outcomes.empty()) return outcomes.front();
+    ::usleep(5 * 1000);
+  }
+  ADD_FAILURE() << "no lease was harvested";
+  return {};
+}
+
+TEST(WorkerPool, HealthyLeaseReturnsTheShardAndItsFrame) {
+  ScratchDir dir("feast-pool-healthy");
+  const fs::path spec_path = write_spec(dir.path(), /*samples=*/2);
+  const fs::path work = dir.path() / "work";
+  WorkerPool pool(pool_options(work));
+  const std::uint64_t ticket = pool.submit(spec_path.string(), 1);
+  EXPECT_NE(ticket, 0u);
+  EXPECT_EQ(pool.running(), 1u);
+  EXPECT_EQ(pool.free_slots(), 1u);
+
+  const WorkerOutcome outcome = next_outcome(pool);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.ticket, ticket);
+  EXPECT_EQ(outcome.cell_index, 1u);
+  EXPECT_EQ(outcome.kind, ErrorKind::None);
+  const std::optional<ShardResult> parsed = parse_shard_result(outcome.frame);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->cell_index, 1u);
+  EXPECT_EQ(render_shard_result(*parsed, ""), render_shard_result(outcome.shard, ""));
+  EXPECT_EQ(pool.running(), 0u);
+  EXPECT_EQ(entries_in(work), 0u);  // A successful attempt leaves no files.
+}
+
+TEST(WorkerPool, CrashCarriesTheWorkerLogTail) {
+  ScratchDir dir("feast-pool-crash");
+  const fs::path spec_path = write_spec(dir.path(), /*samples=*/2);
+  WorkerPool pool(pool_options(dir.path() / "work"));
+  pool.submit(spec_path.string(), 0, "crash");
+  const WorkerOutcome outcome = next_outcome(pool);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.kind, ErrorKind::Crash);
+  EXPECT_NE(outcome.error.find("injected crash"), std::string::npos) << outcome.error;
+}
+
+TEST(WorkerPool, SignalDeathIsTaxonomizedAsSignal) {
+  ScratchDir dir("feast-pool-signal");
+  const fs::path spec_path = write_spec(dir.path(), /*samples=*/2);
+  WorkerPool pool(pool_options(dir.path() / "work"));
+  pool.submit(spec_path.string(), 0, "signal");
+  const WorkerOutcome outcome = next_outcome(pool);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.kind, ErrorKind::Signal) << outcome.error;
+}
+
+TEST(WorkerPool, WatchdogKillsAHangAndNamesTheDeadline) {
+  ScratchDir dir("feast-pool-hang");
+  const fs::path spec_path = write_spec(dir.path(), /*samples=*/2);
+  WorkerPoolOptions options = pool_options(dir.path() / "work");
+  options.cell_timeout_s = 0.3;
+  WorkerPool pool(options);
+  obs::Sink sink;
+  WorkerOutcome outcome;
+  {
+    obs::ScopedSink scoped(sink);
+    pool.submit(spec_path.string(), 0, "hang");
+    outcome = next_outcome(pool);
+  }
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.kind, ErrorKind::Timeout);
+  EXPECT_NE(outcome.error.find("exceeded 0.3 s deadline"), std::string::npos)
+      << outcome.error;
+  const obs::Report report = sink.report();
+  EXPECT_EQ(report.counter_value(obs::Counter::SuperviseKill), 1u);
+  EXPECT_EQ(report.counter_value(obs::Counter::SuperviseSpawn), 1u);
+}
+
+TEST(WorkerPool, SpawnFailureThrowsAndHoldsNoSlot) {
+  ScratchDir dir("feast-pool-spawnfail");
+  const fs::path spec_path = write_spec(dir.path(), /*samples=*/2);
+  WorkerPoolOptions options = pool_options(dir.path() / "work");
+  options.feastc_path = "/nonexistent/feast-no-such-binary";
+  WorkerPool pool(options);
+  EXPECT_THROW(pool.submit(spec_path.string(), 0), std::runtime_error);
+  EXPECT_EQ(pool.running(), 0u);
+  EXPECT_EQ(pool.free_slots(), pool.capacity());
+}
+
+TEST(WorkerPool, KillAllDiscardsLeasesAndTheirFiles) {
+  ScratchDir dir("feast-pool-killall");
+  const fs::path spec_path = write_spec(dir.path(), /*samples=*/2);
+  const fs::path work = dir.path() / "work";
+  WorkerPool pool(pool_options(work));
+  pool.submit(spec_path.string(), 0, "hang");
+  pool.submit(spec_path.string(), 1, "hang");
+  EXPECT_EQ(pool.free_slots(), 0u);
+  EXPECT_THROW(pool.submit(spec_path.string(), 2), std::runtime_error);
+  pool.kill_all(/*grace_s=*/0.3);
+  EXPECT_EQ(pool.running(), 0u);
+  EXPECT_TRUE(pool.poll().empty());
+  EXPECT_EQ(entries_in(work), 0u);
+}
+
+TEST(WorkerPool, FaultPlanReachesTheWorker) {
+  // The same plan Supervise.ExactSolveFaultIsQuarantinedEndToEnd arms: it
+  // kills the worker mid-solve, so only a forwarded --faults can fail it.
+  ScratchDir dir("feast-pool-faults");
+  const fs::path spec_path = write_gap_spec(dir.path());
+  WorkerPool pool(pool_options(dir.path() / "work"));
+  pool.submit(spec_path.string(), 0, "", "exact-solve:1:die");
+  const WorkerOutcome faulted = next_outcome(pool);
+  EXPECT_FALSE(faulted.ok);
+  EXPECT_EQ(faulted.kind, ErrorKind::Crash) << faulted.error;
+
+  pool.submit(spec_path.string(), 0);
+  const WorkerOutcome clean = next_outcome(pool);
+  EXPECT_TRUE(clean.ok) << clean.error;
 }
 
 }  // namespace
