@@ -156,9 +156,12 @@ std::string campaign_strategy_label(const CampaignSpec& spec,
 
 /// Executes one cell of \p spec according to its mode: execute_cell for
 /// Lateness, exact::execute_gap_cell for Gap.  The single dispatch point
-/// shared by the in-process pool runner and supervised workers.
+/// shared by the in-process pool runner and supervised workers.  Only
+/// run_campaign passes a \p lease (Lateness cells of a shares_windows
+/// strategy); it changes no result.
 ExecutedCell execute_campaign_cell(const CampaignSpec& spec, const Strategy& strategy,
-                                   int n_procs, CellCache* cache);
+                                   int n_procs, CellCache* cache,
+                                   WindowStore::Lease* lease = nullptr);
 
 /// Writes the optimality-gap table of a Gap-mode campaign: one row per
 /// (strategy, size) cell with mean heuristic/optimal/gap, the gap spread,

@@ -1614,6 +1614,13 @@ int cmd_profile(Args& args, std::ostream& out) {
   out << "phase total:      " << format_compact(phase_ms, 1) << " ms ("
       << format_fixed(wall_ms > 0.0 ? 100.0 * phase_ms / wall_ms : 0.0, 1)
       << "% of wall)\n";
+  const std::size_t runs = strategies.size() * sizes.size() *
+                           static_cast<std::size_t>(batch.samples);
+  out << "shared windows:   " << report.counter_value(obs::Counter::DistShared)
+      << " of " << runs << " runs\n";
+  out << "infeasible runs:  " << report.counter_value(obs::Counter::RunInfeasible)
+      << " (" << report.counter_value(obs::Counter::RunMissed)
+      << " missed subtasks)\n";
 
   if (trace_path) {
     std::ofstream trace(*trace_path);

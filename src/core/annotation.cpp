@@ -1,8 +1,19 @@
 #include "core/annotation.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace feast {
+
+DeadlineAssignment::DeadlineAssignment(const TaskGraph& graph,
+                                       std::vector<NodeWindow> windows)
+    : windows_(std::move(windows)) {
+  FEAST_REQUIRE_MSG(windows_.size() == graph.node_count(),
+                    "windows sized for a different graph");
+  assigned_count_ = static_cast<std::size_t>(
+      std::count_if(windows_.begin(), windows_.end(),
+                    [](const NodeWindow& w) { return w.assigned(); }));
+}
 
 void DeadlineAssignment::assign(NodeId id, Time release, Time rel_deadline,
                                 int iteration) {

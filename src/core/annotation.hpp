@@ -46,8 +46,16 @@ class DeadlineAssignment {
   explicit DeadlineAssignment(const TaskGraph& graph)
       : windows_(graph.node_count()) {}
 
+  /// An annotation of \p graph holding \p windows (one per node, in node
+  /// order) and no slicing history: the windows of another assignment of
+  /// the same graph, replayed.
+  DeadlineAssignment(const TaskGraph& graph, std::vector<NodeWindow> windows);
+
   /// Number of node slots.
   std::size_t size() const noexcept { return windows_.size(); }
+
+  /// Every node's window, in node order.
+  const std::vector<NodeWindow>& windows() const noexcept { return windows_; }
 
   /// Window of a node (possibly unassigned).
   const NodeWindow& window(NodeId id) const {

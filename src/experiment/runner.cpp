@@ -8,30 +8,61 @@
 
 namespace feast {
 
-RunResult run_once(const TaskGraph& graph, Distributor& distributor,
-                   const RunContext& context) {
-  obs::Sink* const sink = context.sink != nullptr ? context.sink : obs::active();
-  // An explicitly passed sink must also catch scheduler-internal spans and
-  // counters, which resolve obs::active() (the scheduler has no context):
-  // install it for the run's extent.  In-tree parallel drivers resolve
-  // their sink *from* active() (so this branch stays cold there); callers
-  // running concurrent runs with distinct explicit sinks are on their own.
-  std::optional<obs::ScopedSink> scoped;
-  if (sink != nullptr && sink != obs::active()) scoped.emplace(*sink);
-  // A non-Auto backend rides the whole run, so the scheduler's hot loops
-  // and the lateness reduction resolve the same kernel table.
-  std::optional<kernels::ScopedBackend> backend;
-  if (context.backend != kernels::Backend::Auto) {
-    backend.emplace(context.backend);
+namespace {
+
+/// The sink a run records into: the context's, else the active one.
+obs::Sink* run_sink(const RunContext& context) {
+  return context.sink != nullptr ? context.sink : obs::active();
+}
+
+/// An explicitly passed sink must also catch scheduler-internal spans and
+/// counters, which resolve obs::active() (the scheduler has no context):
+/// install it for the run's extent.  In-tree parallel drivers resolve
+/// their sink *from* active() (so this stays cold there); callers running
+/// concurrent runs with distinct explicit sinks are on their own.
+class SinkScope {
+ public:
+  explicit SinkScope(obs::Sink* sink) {
+    if (sink != nullptr && sink != obs::active()) scoped_.emplace(*sink);
   }
 
-  const DeadlineAssignment assignment = [&] {
+ private:
+  std::optional<obs::ScopedSink> scoped_;
+};
+
+}  // namespace
+
+RunResult run_once(const TaskGraph& graph, Distributor& distributor,
+                   const RunContext& context) {
+  const SinkScope scope(run_sink(context));
+  return run_assigned(graph, distribute_checked(graph, distributor, context), context);
+}
+
+DeadlineAssignment distribute_checked(const TaskGraph& graph, Distributor& distributor,
+                                      const RunContext& context) {
+  obs::Sink* const sink = run_sink(context);
+  const SinkScope scope(sink);
+  DeadlineAssignment assignment = [&] {
     obs::SpanScope span(sink, obs::Span::Distribute);
     return distributor.distribute(graph);
   }();
   if (context.validate) {
     obs::SpanScope span(sink, obs::Span::Validate);
     require_valid(check_assignment_basic(graph, assignment));
+  }
+  return assignment;
+}
+
+RunResult run_assigned(const TaskGraph& graph, const DeadlineAssignment& assignment,
+                       const RunContext& context) {
+  obs::Sink* const sink = run_sink(context);
+  const SinkScope scope(sink);
+  // A non-Auto backend rides the scheduling and measuring half, so the
+  // scheduler's hot loops and the lateness reduction resolve the same
+  // kernel table.
+  std::optional<kernels::ScopedBackend> backend;
+  if (context.backend != kernels::Backend::Auto) {
+    backend.emplace(context.backend);
   }
 
   // The fast core runs through the thread-local batch arena: one
@@ -68,6 +99,10 @@ RunResult run_once(const TaskGraph& graph, Distributor& distributor,
   result.makespan = schedule->makespan();
   result.utilization = schedule->average_utilization();
   result.min_laxity = assignment.min_laxity(graph);
+  if (!result.lateness.feasible()) {
+    obs::count_on(sink, obs::Counter::RunMissed, result.lateness.missed);
+    obs::count_on(sink, obs::Counter::RunInfeasible);
+  }
   return result;
 }
 

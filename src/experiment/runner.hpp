@@ -60,8 +60,20 @@ struct RunContext {
   check::FaultPlan* faults = nullptr;
 };
 
-/// Executes one run.  Throws ContractViolation when validation fails.
+/// Executes one run: distribute_checked, then run_assigned.  Throws
+/// ContractViolation when validation fails.
 RunResult run_once(const TaskGraph& graph, Distributor& distributor,
                    const RunContext& context);
+
+/// The first half of run_once: distributes \p graph and, when
+/// context.validate, checks the assignment (slicing history included).
+DeadlineAssignment distribute_checked(const TaskGraph& graph, Distributor& distributor,
+                                      const RunContext& context);
+
+/// The second half of run_once: schedules an already checked assignment
+/// of \p graph, validates the schedule (when context.validate) and
+/// measures it.
+RunResult run_assigned(const TaskGraph& graph, const DeadlineAssignment& assignment,
+                       const RunContext& context);
 
 }  // namespace feast

@@ -50,7 +50,8 @@ Strategy strategy_pure(EstimatorKind estimator) {
                   [estimator](int) {
                     return make_slicing_distributor(make_pure(),
                                                     make_estimator(estimator));
-                  }};
+                  },
+                  /*procs_invariant=*/true};
 }
 
 Strategy strategy_norm(EstimatorKind estimator) {
@@ -58,20 +59,24 @@ Strategy strategy_norm(EstimatorKind estimator) {
                   [estimator](int) {
                     return make_slicing_distributor(make_norm(),
                                                     make_estimator(estimator));
-                  }};
+                  },
+                  /*procs_invariant=*/true};
 }
 
 Strategy strategy_thres(double surplus, double threshold_factor) {
-  return Strategy{"THRES(d=" + format_compact(surplus, 3) +
-                      ",th=" + format_compact(threshold_factor, 3) + ")",
+  // Shortest round-trip parameters: distinct values must never share a
+  // label, since the label is the cell's cache and resume identity.
+  return Strategy{"THRES(d=" + format_shortest(surplus) +
+                      ",th=" + format_shortest(threshold_factor) + ")",
                   [surplus, threshold_factor](int) {
                     return make_slicing_distributor(
                         make_thres(surplus, threshold_factor), make_ccne());
-                  }};
+                  },
+                  /*procs_invariant=*/true};
 }
 
 Strategy strategy_adapt(double threshold_factor) {
-  return Strategy{"ADAPT(th=" + format_compact(threshold_factor, 3) + ")",
+  return Strategy{"ADAPT(th=" + format_shortest(threshold_factor) + ")",
                   [threshold_factor](int n_procs) {
                     return make_slicing_distributor(
                         make_adapt(n_procs, threshold_factor), make_ccne());

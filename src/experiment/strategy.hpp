@@ -4,7 +4,7 @@
 /// A Strategy is a label plus a factory that builds a Distributor for a
 /// given system size.  The factory takes the size because the ADAPT metric
 /// is parameterized on N_proc — the whole point of the adaptive surplus —
-/// while every other strategy ignores it.
+/// while every other strategy ignores it, and says so with procs_invariant.
 #pragma once
 
 #include <functional>
@@ -22,6 +22,15 @@ using DistributorFactory = std::function<std::unique_ptr<Distributor>(int n_proc
 struct Strategy {
   std::string label;
   DistributorFactory make;
+  /// The distributors make(n) builds assign the same windows to a graph for
+  /// every n.  Campaigns and sweeps then distribute each graph once for all
+  /// of a strategy's sizes (experiment/window_store.hpp).  A fact about the
+  /// factory, declared by the slicing strategies that ignore n (PURE, NORM,
+  /// THRES); false, the default, is always safe.  The UD/ED/PROP baselines
+  /// ignore n too but do not declare it: their one-pass distribution costs
+  /// about what copying shared windows does, and keeping the windows of
+  /// their large graphs raised peak memory by ~15%.
+  bool procs_invariant = false;
 };
 
 /// Which communication-cost estimator a strategy distributes under.

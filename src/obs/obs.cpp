@@ -67,6 +67,9 @@ const char* to_string(Counter counter) noexcept {
     case Counter::DistIterations: return "dist.iterations";
     case Counter::DistLbGroups: return "dist.lb_groups";
     case Counter::DistDpRelax: return "dist.dp_relax";
+    case Counter::DistShared: return "dist.shared";
+    case Counter::RunMissed: return "run.missed";
+    case Counter::RunInfeasible: return "run.infeasible";
   }
   return "?";
 }

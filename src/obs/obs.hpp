@@ -94,8 +94,11 @@ enum class Counter : std::uint8_t {
   DistIterations,  ///< Distribution: slicing-loop iterations (paths sliced).
   DistLbGroups,    ///< Distribution: source-lb groups swept by the path search.
   DistDpRelax,     ///< Distribution: path-search DP relaxations attempted.
+  DistShared,      ///< Distribution: run reused windows another cell published.
+  RunMissed,       ///< Run: subtasks that finished after their deadline.
+  RunInfeasible,   ///< Run: runs with at least one missed deadline.
 };
-inline constexpr std::size_t kCounterCount = 33;
+inline constexpr std::size_t kCounterCount = 36;
 
 const char* to_string(Span span) noexcept;
 const char* to_string(Counter counter) noexcept;

@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 #include "util/contracts.hpp"
@@ -22,6 +23,15 @@ std::string format_compact(double value, int precision) {
   }
   if (s == "-0") s = "0";
   return s;
+}
+
+std::string format_shortest(double value) {
+  char buf[400];  // Fixed notation of DBL_MAX is 309 digits.
+  // + 0.0 folds -0 into 0, as format_compact does.
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, value + 0.0, std::chars_format::fixed);
+  FEAST_ASSERT(ec == std::errc{});
+  return std::string(buf, end);
 }
 
 std::string join(const std::vector<std::string>& pieces, const std::string& sep) {

@@ -14,6 +14,12 @@ std::string format_fixed(double value, int precision);
 /// trailing zeros (and a trailing dot) removed.
 std::string format_compact(double value, int precision = 6);
 
+/// Formats a double in the shortest fixed notation that parses back to the
+/// same value ("1.25", "1.0046", "3"), so distinct values never render
+/// alike.  Agrees with format_compact(value, 3) on every value with at most
+/// three decimals.
+std::string format_shortest(double value);
+
 /// Joins string pieces with a separator.
 std::string join(const std::vector<std::string>& pieces, const std::string& sep);
 

@@ -8,10 +8,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,7 +21,9 @@
 #include "campaign/campaign.hpp"
 #include "campaign/pool.hpp"
 #include "experiment/sweep.hpp"
+#include "obs/obs.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace feast {
 namespace {
@@ -473,6 +477,171 @@ TEST(Campaign, RecordsFailedCellsWithoutAborting) {
     EXPECT_EQ(cell.state, CellState::Failed);
     EXPECT_FALSE(cell.error.empty());
   }
+}
+
+TEST(Campaign, NearbyThresholdsKeepSeparateCacheRecords) {
+  // Labels used to print THRES parameters to three decimals, so these two
+  // specs shared a label, hence a cache key: the second run was served the
+  // first one's stats.
+  EXPECT_EQ(parse_strategy_spec("thres:1.0046").label, "THRES(d=1.0046,th=1.25)");
+  EXPECT_EQ(parse_strategy_spec("thres:1.0054").label, "THRES(d=1.0054,th=1.25)");
+  EXPECT_EQ(parse_strategy_spec("thres:2:1.5").label, "THRES(d=2,th=1.5)");
+  EXPECT_EQ(parse_strategy_spec("adapt:1.2504").label, "ADAPT(th=1.2504)");
+
+  const ScratchDir dir("labels");
+  ResultCache cache(dir.path() / "cache");
+  CampaignOptions options;
+  options.cache = &cache;
+  CampaignSpec spec;
+  spec.batch.seed = 7;
+  spec.batch.samples = 8;
+  spec.sizes = {4};
+  spec.strategies = {"thres:1.0046"};
+  ASSERT_EQ(run_campaign(spec, options).computed, 1u);
+
+  spec.strategies = {"thres:1.0054"};
+  const CampaignResult second = run_campaign(spec, options);
+  EXPECT_EQ(second.cached, 0u);
+  EXPECT_EQ(second.computed, 1u);
+  const CampaignResult uncached = run_campaign(spec);
+  EXPECT_EQ(second.cells[0].stats.max_lateness.mean,
+            uncached.cells[0].stats.max_lateness.mean);
+}
+
+// ----------------------------------------------------------- shared windows
+
+/// Every strategy kind parse_strategy_spec knows.
+const std::vector<std::string> kEveryStrategyKind = {
+    "pure:ccne", "pure:ccaa", "norm:ccne", "norm:ccaa", "thres",
+    "thres:0.5:1.5", "adapt", "adapt:1.5", "ud", "ed", "prop"};
+
+TEST(SharedWindows, ProcsInvariantStrategiesDistributeAlikeAtEverySize) {
+  std::vector<TaskGraph> graphs;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomGraphConfig config;
+    Pcg32 rng(seed, /*stream=*/seed);
+    graphs.push_back(generate_random_graph(config, rng));
+  }
+  const auto same = [](const DeadlineAssignment& a, const DeadlineAssignment& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const NodeWindow& x = a.windows()[i];
+      const NodeWindow& y = b.windows()[i];
+      // Bit for bit: -0 vs 0 or a NaN would break sharing too.
+      if (std::memcmp(&x.release, &y.release, sizeof(Time)) != 0 ||
+          std::memcmp(&x.rel_deadline, &y.rel_deadline, sizeof(Time)) != 0 ||
+          x.iteration != y.iteration) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  for (const std::string& kind : kEveryStrategyKind) {
+    const Strategy strategy = parse_strategy_spec(kind);
+    std::size_t differing = 0;
+    for (const TaskGraph& g : graphs) {
+      if (!same(strategy.make(2)->distribute(g), strategy.make(16)->distribute(g))) {
+        ++differing;
+      }
+    }
+    if (kind.rfind("adapt", 0) == 0) {
+      // ADAPT's surplus is xi/N: never shared, and it really does differ.
+      EXPECT_FALSE(strategy.procs_invariant) << kind;
+      EXPECT_GT(differing, 0u) << kind;
+      continue;
+    }
+    // Every other kind ignores N; the slicing ones declare it.
+    EXPECT_EQ(differing, 0u) << kind;
+    const bool baseline = kind == "ud" || kind == "ed" || kind == "prop";
+    EXPECT_EQ(strategy.procs_invariant, !baseline) << kind;
+  }
+  // A hand-built strategy is never shared.
+  EXPECT_FALSE((Strategy{"custom", strategy_pure(EstimatorKind::CCNE).make}).procs_invariant);
+}
+
+/// manifest_fingerprint of a finished run, through the manifest format.
+std::string fingerprint_of(const CampaignSpec& spec, const CampaignResult& result) {
+  std::ostringstream text;
+  write_manifest(text, spec, result);
+  std::istringstream in(text.str());
+  return manifest_fingerprint(read_manifest(in));
+}
+
+TEST(SharedWindows, CampaignMatchesCellsRunAlone) {
+  const ScratchDir dir("shared-windows");
+  CampaignSpec base = tiny_spec();
+  base.batch.samples = 5;
+  base.strategies = kEveryStrategyKind;
+  base.sizes = {2, 3, 5};
+  int variant = 0;
+  for (const double pinned : {0.0, 0.25}) {
+    for (const CommContention contention :
+         {CommContention::ContentionFree, CommContention::SharedBus}) {
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("pinned=" + std::to_string(pinned) + " contention=" +
+                     to_string(contention) + " threads=" + std::to_string(threads));
+        CampaignSpec spec = base;
+        spec.batch.pinned_fraction = pinned;
+        spec.batch.contention = contention;
+        std::vector<Strategy> strategies;
+        for (const std::string& s : spec.strategies) {
+          strategies.push_back(parse_strategy_spec(s));
+        }
+        const std::vector<PlannedCell> plan = plan_cells(spec, strategies);
+
+        // Pre-warm every other cell: those cells' leases end unused.
+        ResultCache cache(dir.path() / ("cache" + std::to_string(variant++)));
+        for (std::size_t i = 0; i < plan.size(); i += 2) {
+          (void)execute_campaign_cell(spec, strategies[plan[i].strategy_index],
+                                      plan[i].n_procs, &cache);
+        }
+        CampaignOptions options;
+        options.cache = &cache;
+        options.threads = threads;
+        // run_campaign also ensures its window store is empty on return.
+        const CampaignResult shared = run_campaign(spec, options);
+        ASSERT_TRUE(shared.ok());
+        EXPECT_EQ(shared.cached, (plan.size() + 1) / 2);
+        EXPECT_EQ(shared.computed, plan.size() / 2);
+
+        // Reference: each cell on its own with no store, as exec-cell runs it.
+        CampaignResult alone = shared;
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+          alone.cells[i].stats =
+              execute_campaign_cell(spec, strategies[plan[i].strategy_index],
+                                    plan[i].n_procs, nullptr)
+                  .stats;
+        }
+        EXPECT_EQ(fingerprint_of(spec, shared), fingerprint_of(spec, alone));
+      }
+    }
+  }
+  set_parallelism(0);
+  WorkStealingPool::global().resize(0);
+}
+
+TEST(SharedWindows, DistributesOncePerStrategyAndSample) {
+  CampaignSpec spec = tiny_spec();
+  spec.strategies = {"pure:ccne", "adapt", "ud"};
+  spec.sizes = {2, 4, 8};
+  const std::uint64_t samples = static_cast<std::uint64_t>(spec.batch.samples);
+  obs::Sink sink;
+  {
+    obs::ScopedSink scoped(sink);
+    ASSERT_TRUE(run_campaign(spec).ok());
+  }
+  const obs::Report report = sink.report();
+  const auto span_count = [&](obs::Span span) {
+    for (const obs::Report::SpanRow& row : report.spans) {
+      if (row.span == span) return row.count;
+    }
+    return std::uint64_t{0};
+  };
+  // PURE distributes once per sample, ADAPT and UD once per sample and size.
+  EXPECT_EQ(span_count(obs::Span::Generate), 9 * samples);
+  EXPECT_EQ(span_count(obs::Span::Distribute), (1 + 3 + 3) * samples);
+  EXPECT_EQ(report.counter_value(obs::Counter::DistShared), 2 * samples);
 }
 
 }  // namespace

@@ -235,6 +235,22 @@ TEST(Strings, FormatCompactStripsZeros) {
   EXPECT_EQ(format_compact(0.125, 6), "0.125");
 }
 
+TEST(Strings, FormatShortestRoundTripsAndKeepsShortValues) {
+  EXPECT_EQ(format_shortest(1.0046), "1.0046");
+  EXPECT_EQ(format_shortest(1.0054), "1.0054");
+  EXPECT_EQ(format_shortest(-0.0), "0");
+  EXPECT_EQ(format_shortest(1e20), "100000000000000000000");
+  // Values with at most three decimals render as format_compact(x, 3) did,
+  // so strategy labels (and the cache keys embedding them) stay unchanged.
+  for (int thousandths = -5000; thousandths <= 5000; ++thousandths) {
+    const double value = thousandths / 1000.0;
+    EXPECT_EQ(format_shortest(value), format_compact(value, 3)) << value;
+  }
+  for (const double value : {0.1, 1.0 / 3.0, 2.675, 1e-7, 123456.789012}) {
+    EXPECT_EQ(std::stod(format_shortest(value)), value);
+  }
+}
+
 TEST(Strings, JoinSplitTrim) {
   EXPECT_EQ(join({"a", "b", "c"}, ","), "a,b,c");
   EXPECT_EQ(join({}, ","), "");
